@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gathernoc/internal/router"
 	"gathernoc/internal/sim"
 	"gathernoc/internal/telemetry"
 	"gathernoc/internal/traffic"
@@ -88,6 +89,21 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunRejectsTooManyVCs checks that a VC count beyond the router's
+// per-port bitmap width comes back as the named configuration error, for
+// the synthetic and the INA paths alike, instead of a panic.
+func TestRunRejectsTooManyVCs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-vcs", "65", "-rows", "2", "-cols", "2", "-measure", "10"},
+		{"-vcs", "65", "-rows", "2", "-cols", "2", "-ina", "-inarounds", "1"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); !errors.Is(err, router.ErrTooManyVCs) {
+			t.Errorf("args %v: err = %v, want router.ErrTooManyVCs", args, err)
 		}
 	}
 }

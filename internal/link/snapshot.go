@@ -1,6 +1,8 @@
 package link
 
 import (
+	"fmt"
+
 	"gathernoc/internal/fault"
 	"gathernoc/internal/flit"
 	"gathernoc/internal/stats"
@@ -59,8 +61,23 @@ func (l *Link) CaptureState() State {
 // RestoreState replaces the link's mutable state with the captured one,
 // materializing in-flight flits through pool (the restored network's
 // acquire/release accounting must balance). numNodes sizes rebuilt
-// multicast destination sets.
-func (l *Link) RestoreState(s State, pool *flit.Pool, numNodes int) {
+// multicast destination sets; vcs is the channel's VC count, and a
+// snapshot naming a VC outside [0, vcs) is rejected before anything is
+// restored.
+func (l *Link) RestoreState(s State, pool *flit.Pool, numNodes, vcs int) error {
+	for _, in := range s.Flits {
+		if in.VC < 0 || in.VC >= vcs {
+			return fmt.Errorf("link %s: snapshot flit on vc%d out of range (VCs=%d)", l.name, in.VC, vcs)
+		}
+	}
+	for _, c := range s.Credits {
+		if c.VC < 0 || c.VC >= vcs {
+			return fmt.Errorf("link %s: snapshot credit on vc%d out of range (VCs=%d)", l.name, c.VC, vcs)
+		}
+	}
+	if len(s.OwedCredits) > vcs {
+		return fmt.Errorf("link %s: snapshot owes credits on %d VCs (VCs=%d)", l.name, len(s.OwedCredits), vcs)
+	}
 	l.FlitsCarried = s.FlitsCarried
 	l.CreditsCarried = s.CreditsCarried
 	l.flits.Reset()
@@ -82,4 +99,5 @@ func (l *Link) RestoreState(s State, pool *flit.Pool, numNodes int) {
 	if s.Faults != nil && l.faults != nil {
 		l.faults.Restore(*s.Faults)
 	}
+	return nil
 }

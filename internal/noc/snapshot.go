@@ -117,7 +117,9 @@ func (nw *Network) Restore(s *Snapshot) error {
 		}
 	}
 	for i, l := range nw.links {
-		l.RestoreState(s.Links[i], nw.poolFor(nw.linkRecs[i].downShard), numNodes)
+		if err := l.RestoreState(s.Links[i], nw.poolFor(nw.linkRecs[i].downShard), numNodes, nw.cfg.Router.VCs); err != nil {
+			return err
+		}
 	}
 	for i, n := range nw.nics {
 		if err := n.RestoreState(s.NICs[i], numNodes); err != nil {

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,13 +12,18 @@ import (
 // selectors, sink placements and VC counts at Config.Validate. The
 // invariant: Validate never panics, and every rejection is a named error
 // (the "noc:" prefix) rather than a silent misconfiguration — a config
-// that would misroute must be refused with the conflict spelled out.
+// that would misroute must be refused with the conflict spelled out. On
+// small fabrics New must agree with Validate: it builds every accepted
+// config and refuses every rejected one (VC counts past the router's
+// bitmap width included).
 func FuzzConfigValidate(f *testing.F) {
 	f.Add(8, 8, uint8(0), uint8(0), true, 4, -1, 1, 1)
 	f.Add(8, 8, uint8(1), uint8(0), false, 2, -1, 1, 1)
-	f.Add(8, 8, uint8(1), uint8(0), true, 1, 0, 1, 1)   // torus + east sinks: rejected
-	f.Add(0, -3, uint8(0), uint8(1), false, 4, 2, 0, 5) // degenerate dims
-	f.Add(16, 16, uint8(2), uint8(3), true, 4, 3, 2, 1) // unknown topology byte
+	f.Add(8, 8, uint8(1), uint8(0), true, 1, 0, 1, 1)    // torus + east sinks: rejected
+	f.Add(0, -3, uint8(0), uint8(1), false, 4, 2, 0, 5)  // degenerate dims
+	f.Add(16, 16, uint8(2), uint8(3), true, 4, 3, 2, 1)  // unknown topology byte
+	f.Add(2, 2, uint8(0), uint8(0), false, 64, -1, 1, 1) // widest VC bitmap
+	f.Add(2, 2, uint8(0), uint8(0), false, 65, -1, 1, 1) // past the bitmap width
 	f.Fuzz(func(t *testing.T, rows, cols int, topoSel, routeSel uint8, sinks bool,
 		vcs, gatherVC, linkLatency, ejectRate int) {
 		topos := []string{"", "mesh", "torus", "hypercube"}
@@ -32,6 +38,15 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.EjectRate = ejectRate
 
 		err := cfg.Validate()
+		if rows >= 1 && rows <= 4 && cols >= 1 && cols <= 4 && vcs <= router.MaxVCs {
+			nw, newErr := New(cfg)
+			if (newErr == nil) != (err == nil) {
+				t.Fatalf("Validate() = %v but New() = %v for %+v", err, newErr, cfg)
+			}
+			if nw != nil {
+				nw.Close()
+			}
+		}
 		if err == nil {
 			// Accepted configs must be self-consistent enough for the
 			// derived accessors to behave.
@@ -52,6 +67,26 @@ func FuzzConfigValidate(f *testing.F) {
 			t.Fatalf("rejection not named by its layer: %q", msg)
 		}
 	})
+}
+
+// TestValidateRejectsTooManyVCs pins the VC bound at the fabric level:
+// Validate and New both refuse a router wider than its VC bitmaps with
+// the router's named error.
+func TestValidateRejectsTooManyVCs(t *testing.T) {
+	cfg := DefaultConfig(2, 2)
+	cfg.Router.VCs = router.MaxVCs + 1
+	if err := cfg.Validate(); !errors.Is(err, router.ErrTooManyVCs) {
+		t.Fatalf("Validate() = %v, want router.ErrTooManyVCs", err)
+	}
+	if _, err := New(cfg); !errors.Is(err, router.ErrTooManyVCs) {
+		t.Fatalf("New() = %v, want router.ErrTooManyVCs", err)
+	}
+	cfg.Router.VCs = router.MaxVCs
+	nw, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New() at the bitmap width: %v", err)
+	}
+	nw.Close()
 }
 
 // TestFuzzSeedsRouterDefaults pins the assumption the fuzz harness makes:

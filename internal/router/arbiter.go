@@ -1,8 +1,10 @@
 package router
 
+import "math/bits"
+
 // rrArbiter is a round-robin arbiter over n requesters. It is the
-// allocation primitive behind the VA and SA stages; keeping explicit
-// rotation state makes every simulation replay deterministically.
+// allocation primitive behind the SA stage; keeping explicit rotation
+// state makes every simulation replay deterministically.
 type rrArbiter struct {
 	n    int
 	next int
@@ -12,19 +14,33 @@ func newRRArbiter(n int) *rrArbiter {
 	return &rrArbiter{n: n}
 }
 
-// pick returns the first index i, scanning round-robin from the last
-// grant, for which want(i) is true, advancing the rotation past the
+// grant returns the first requester set in the request mask m, scanning
+// round-robin from the last grant, and advances the rotation past the
 // winner. It returns -1 when nothing is requesting.
-func (a *rrArbiter) pick(want func(i int) bool) int {
-	if a.n == 0 {
+func (a *rrArbiter) grant(m uint64) int {
+	if m == 0 {
 		return -1
 	}
-	for off := 0; off < a.n; off++ {
-		i := (a.next + off) % a.n
-		if want(i) {
-			a.next = (i + 1) % a.n
-			return i
-		}
+	i := bits.TrailingZeros64(m)
+	if hi := m &^ lowBits(a.next); hi != 0 {
+		i = bits.TrailingZeros64(hi)
 	}
-	return -1
+	a.advance(i)
+	return i
+}
+
+// advance moves the rotation just past requester i.
+func (a *rrArbiter) advance(i int) {
+	a.next = i + 1
+	if a.next == a.n {
+		a.next = 0
+	}
+}
+
+// lowBits returns a mask of bits [0, n).
+func lowBits(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
 }

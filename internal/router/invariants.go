@@ -17,10 +17,11 @@ import (
 //     actually holds that allocation;
 //   - a raised gather or accumulate Load signal has a reserved station
 //     entry;
-//   - the incrementally maintained stage-occupancy counters (which let
-//     Tick skip whole pipeline stages) agree with a full rescan.
+//   - the incrementally maintained scheduling state — the per-port
+//     rc/va/active VC bitmaps, the per-output free-VC bitmaps and the
+//     buffered/loads counters — agrees with a full rescan.
 func (r *Router) CheckInvariants() error {
-	buffered, loads, vaPending, active := 0, 0, 0, 0
+	buffered, loads := 0, 0
 	for p := 0; p < topology.NumPorts; p++ {
 		for v := range r.inputs[p] {
 			vc := &r.inputs[p][v]
@@ -30,12 +31,6 @@ func (r *Router) CheckInvariants() error {
 			}
 			if vc.reduceLoad {
 				loads++
-			}
-			switch vc.stage {
-			case vcVA:
-				vaPending++
-			case vcActive:
-				active++
 			}
 			if vc.buf.Len() > r.cfg.BufferDepth {
 				return fmt.Errorf("router %d: input %s vc%d holds %d flits (depth %d)",
@@ -75,6 +70,10 @@ func (r *Router) CheckInvariants() error {
 				}
 			}
 		}
+		if rc, va, act := r.scanMasks(p); rc != r.rcMask[p] || va != r.vaMask[p] || act != r.actMask[p] {
+			return fmt.Errorf("router %d: input %s VC bitmaps (rc=%#x va=%#x active=%#x) drifted from rescan (%#x %#x %#x)",
+				r.id, topology.Port(p), r.rcMask[p], r.vaMask[p], r.actMask[p], rc, va, act)
+		}
 	}
 	for p := 0; p < topology.NumPorts; p++ {
 		out := &r.outputs[p]
@@ -104,10 +103,48 @@ func (r *Router) CheckInvariants() error {
 					r.id, topology.Port(p), v, op, ov)
 			}
 		}
+		if free := out.scanFree(); free != out.free {
+			return fmt.Errorf("router %d: output %s free-VC bitmap %#x drifted from rescan %#x",
+				r.id, topology.Port(p), out.free, free)
+		}
 	}
-	if buffered != r.buffered || loads != r.loads || vaPending != r.vaPending || active != r.active {
-		return fmt.Errorf("router %d: occupancy counters (buffered=%d loads=%d vaPending=%d active=%d) drifted from rescan (%d %d %d %d)",
-			r.id, r.buffered, r.loads, r.vaPending, r.active, buffered, loads, vaPending, active)
+	if buffered != r.buffered || loads != r.loads {
+		return fmt.Errorf("router %d: occupancy counters (buffered=%d loads=%d) drifted from rescan (%d %d)",
+			r.id, r.buffered, r.loads, buffered, loads)
 	}
 	return nil
+}
+
+// scanMasks computes input port p's rc, va and active VC bitmaps from the
+// VC stages and buffer fronts: the full rescan the incrementally
+// maintained masks must always equal.
+func (r *Router) scanMasks(p int) (rc, va, act uint64) {
+	for v := range r.inputs[p] {
+		vc := &r.inputs[p][v]
+		bit := uint64(1) << uint(v)
+		switch vc.stage {
+		case vcIdle:
+			if h := vc.head(); h != nil && h.IsHead() {
+				rc |= bit
+			}
+		case vcRC:
+			rc |= bit
+		case vcVA:
+			va |= bit
+		case vcActive:
+			act |= bit
+		}
+	}
+	return rc, va, act
+}
+
+// scanFree computes the output's free-VC bitmap from its ownership table.
+func (o *outputPort) scanFree() uint64 {
+	var free uint64
+	for v, op := range o.ownerPort {
+		if op < 0 {
+			free |= 1 << uint(v)
+		}
+	}
+	return free
 }

@@ -49,6 +49,20 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	h.a.inputs[topology.LocalPort][0].gatherLoad = false
 
+	// Let the scheduling bitmaps drift from the VC stages they mirror.
+	h.a.vaMask[topology.NorthPort] = 1
+	err = h.a.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "bitmaps") {
+		t.Errorf("VC bitmap drift not detected: %v", err)
+	}
+	h.a.vaMask[topology.NorthPort] = 0
+	h.a.outputs[topology.EastPort].free &^= 1 << 2
+	err = h.a.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "free-VC bitmap") {
+		t.Errorf("free-VC bitmap drift not detected: %v", err)
+	}
+	h.a.outputs[topology.EastPort].free |= 1 << 2
+
 	// Claim ownership pointing at an input VC that holds nothing.
 	h.a.outputs[topology.EastPort].ownerPort[1] = 0
 	h.a.outputs[topology.EastPort].ownerVC[1] = 0

@@ -15,7 +15,9 @@
 package router
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
@@ -75,11 +77,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxVCs is the most virtual channels a port may have: the pipeline
+// stages schedule each port's VCs from one uint64 bitmap.
+const MaxVCs = 64
+
+// ErrTooManyVCs is the Validate error for a VC count above MaxVCs.
+var ErrTooManyVCs = errors.New("router: VCs exceeds the per-port VC bitmap width")
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.VCs < 1:
 		return fmt.Errorf("router: VCs must be >= 1, got %d", c.VCs)
+	case c.VCs > MaxVCs:
+		return fmt.Errorf("%w (%d > %d)", ErrTooManyVCs, c.VCs, MaxVCs)
 	case c.BufferDepth < 1:
 		return fmt.Errorf("router: BufferDepth must be >= 1, got %d", c.BufferDepth)
 	case c.RCDelay < 1 || c.VADelay < 1:
@@ -184,11 +195,34 @@ type outputPort struct {
 	// downstream VC; -1 when free.
 	ownerPort []int
 	ownerVC   []int
+	// free has bit vc set while ownerPort[vc] < 0.
+	free uint64
+	// VA policy masks, precomputed from vcAllowed at connection time:
+	// classVCs[k] holds dateline class k's VCs (set only on datelined
+	// outputs of a VCClasses > 1 router); otherwise collectiveVCs and
+	// otherVCs hold the VCs gather/accumulate and all other packets may
+	// allocate.
+	classVCs      []uint64
+	collectiveVCs uint64
+	otherVCs      uint64
 }
 
 func (o *outputPort) connected() bool { return o.link != nil }
 
-func (o *outputPort) vcFree(vc int) bool { return o.ownerPort[vc] < 0 }
+// allowedVCs returns the downstream VCs a packet of type pt on dateline
+// class class may allocate on this output (vcAllowed, as a mask).
+func (o *outputPort) allowedVCs(pt flit.PacketType, class int) uint64 {
+	if o.classVCs != nil {
+		if class < 0 || class >= len(o.classVCs) {
+			return 0
+		}
+		return o.classVCs[class]
+	}
+	if pt == flit.Gather || pt == flit.Accumulate {
+		return o.collectiveVCs
+	}
+	return o.otherVCs
+}
 
 // Router is one mesh node's switch. It is a phase-1 (tick) component; its
 // outgoing links are the matching phase-2 components.
@@ -215,15 +249,19 @@ type Router struct {
 	// telemetry-off path does no extra work (DESIGN.md §11).
 	probe *telemetry.Probe
 
-	// Stage occupancy counters, maintained incrementally so Tick can skip
-	// whole pipeline stages (and Idle can answer) in O(1) instead of
-	// scanning every (port, VC) ring. They never influence *what* a stage
-	// does — only whether a stage that would be a pure no-op runs at all —
-	// so schedules are bit-identical with the scanning implementation.
-	buffered  int // flits held across all input VC buffers
-	loads     int // raised gather/accumulate Load signals awaiting upload
-	vaPending int // input VCs in the vcVA stage
-	active    int // input VCs in the vcActive stage
+	// Per-input-port VC bitmaps (bit v = input VC v) that drive the
+	// pipeline stages in place of (port, VC) scans (DESIGN.md §10):
+	//   rcMask:  idle with a head flit at the buffer front, or in vcRC;
+	//   vaMask:  in vcVA;
+	//   actMask: in vcActive.
+	// Stages visit set bits in the order the scans visited VCs, so
+	// schedules are bit-identical with the scanning implementation.
+	rcMask  [topology.NumPorts]uint64
+	vaMask  [topology.NumPorts]uint64
+	actMask [topology.NumPorts]uint64
+
+	buffered int // flits held across all input VC buffers (drives Idle)
+	loads    int // raised gather/accumulate Load signals awaiting upload
 
 	// Counters is exported for the power model and reports.
 	Counters Counters
@@ -294,6 +332,9 @@ func (r *Router) Idle() bool { return r.buffered == 0 }
 // ConnectOutput attaches l as the outgoing channel on port p; downstreamDepth
 // is the buffer depth of the receiving input VCs (credit initialization).
 func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamVCs, downstreamDepth int) {
+	if downstreamVCs > MaxVCs {
+		panic(fmt.Sprintf("router %d: %d downstream VCs on %s exceed %d", r.id, downstreamVCs, p, MaxVCs))
+	}
 	o := &r.outputs[p]
 	o.link = l
 	o.credits = make([]int, downstreamVCs)
@@ -303,6 +344,28 @@ func (r *Router) ConnectOutput(p topology.Port, l *link.Link, downstreamVCs, dow
 		o.credits[v] = downstreamDepth
 		o.ownerPort[v] = -1
 		o.ownerVC[v] = -1
+	}
+	o.free = o.scanFree()
+
+	datelined := p != topology.LocalPort
+	o.classVCs = nil
+	if c := r.cfg.VCClasses; c > 1 && datelined {
+		o.classVCs = make([]uint64, c)
+	}
+	o.collectiveVCs, o.otherVCs = 0, 0
+	for v := 0; v < downstreamVCs; v++ {
+		bit := uint64(1) << uint(v)
+		for k := range o.classVCs {
+			if r.vcAllowed(flit.Unicast, v, downstreamVCs, k, datelined) {
+				o.classVCs[k] |= bit
+			}
+		}
+		if r.vcAllowed(flit.Gather, v, downstreamVCs, 0, datelined) {
+			o.collectiveVCs |= bit
+		}
+		if r.vcAllowed(flit.Unicast, v, downstreamVCs, 0, datelined) {
+			o.otherVCs |= bit
+		}
 	}
 }
 
@@ -342,6 +405,9 @@ func (r *Router) acceptFlit(p topology.Port, f *flit.Flit, vc int) {
 		// Credit-protocol violation: upstream sent into a full buffer.
 		// This is an internal simulator bug, not a runtime condition.
 		panic(fmt.Sprintf("router %d: input %s vc%d overflow (%s)", r.id, p, vc, f))
+	}
+	if in.buf.Empty() && in.stage == vcIdle && f.IsHead() {
+		r.rcMask[p] |= 1 << uint(vc)
 	}
 	in.buf.PushBack(f)
 	r.buffered++
@@ -401,11 +467,9 @@ func (r *Router) BufferedFlits() int { return r.buffered }
 // one stage per cycle.
 //
 // An idle router's tick is a pure no-op (the Idle contract the sleep/wake
-// engine already relies on), so it returns immediately; a busy router runs
-// only the stages with work, using the occupancy counters: a stage whose
-// skip condition holds would touch nothing (the SA arbiters only rotate
-// past a winner and the VA rotation is derived from the cycle number), so
-// eliding it changes no schedule.
+// engine already relies on), so it returns immediately; a busy router's
+// stages visit only the VCs set in their bitmaps, so a stage with nothing
+// to do costs a few word tests.
 func (r *Router) Tick(cycle int64) {
 	if r.buffered == 0 {
 		return
@@ -413,12 +477,8 @@ func (r *Router) Tick(cycle int64) {
 	if r.loads > 0 {
 		r.gatherUploadStage(cycle)
 	}
-	if r.active > 0 {
-		r.switchStage(cycle)
-	}
-	if r.vaPending > 0 {
-		r.vaStage(cycle)
-	}
+	r.switchStage(cycle)
+	r.vaStage(cycle)
 	r.rcStage(cycle)
 }
 
@@ -467,35 +527,28 @@ func (r *Router) gatherUploadStage(cycle int64) {
 
 // rcStage starts and completes route computation for heads of newly
 // arrived packets, and runs the Gather Load Generator on gather headers
-// (Algorithm 1, lines 1-4).
+// (Algorithm 1, lines 1-4). It visits ports in ascending order and each
+// port's rcMask VCs by ascending index.
 func (r *Router) rcStage(cycle int64) {
 	for p := 0; p < topology.NumPorts; p++ {
-		for v := range r.inputs[p] {
+		for m := r.rcMask[p]; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
 			vc := &r.inputs[p][v]
-			switch vc.stage {
-			case vcIdle:
-				f := vc.head()
-				if f == nil || !f.IsHead() {
-					continue
-				}
+			if vc.stage == vcIdle {
 				vc.stage = vcRC
 				vc.wait = r.cfg.RCDelay - 1
-				if vc.wait == 0 {
-					r.completeRC(vc, cycle)
-				}
-			case vcRC:
-				if vc.wait > 0 {
-					vc.wait--
-				}
-				if vc.wait == 0 {
-					r.completeRC(vc, cycle)
-				}
+			} else if vc.wait > 0 {
+				vc.wait--
+			}
+			if vc.wait == 0 {
+				r.completeRC(p, v, cycle)
 			}
 		}
 	}
 }
 
-func (r *Router) completeRC(vc *inputVC, cycle int64) {
+func (r *Router) completeRC(p, v int, cycle int64) {
+	vc := &r.inputs[p][v]
 	f := vc.head()
 	rt := r.route(r.id, f)
 	vc.vcClass = rt.VCClass
@@ -548,87 +601,84 @@ func (r *Router) completeRC(vc *inputVC, cycle int64) {
 
 	vc.stage = vcVA
 	vc.wait = r.cfg.VADelay - 1
-	r.vaPending++
+	r.rcMask[p] &^= 1 << uint(v)
+	r.vaMask[p] |= 1 << uint(v)
 }
 
 // vaStage allocates downstream VCs to packets that completed RC. Multicast
 // packets must secure a VC on every branch before activating; partial
 // allocations persist across cycles.
 //
-// The (port,vc) scan rotation advances once per cycle for fairness. It is
-// derived from the cycle number rather than stored, which keeps an idle
-// router's tick stateless — a prerequisite for sleep/wake scheduling to be
-// bit-identical with the always-tick engine.
+// The visit order rotates once per cycle over the flattened (port, VC)
+// index for fairness: from start = cycle mod (ports x VCs) upward,
+// wrapping. The rotation is derived from the cycle number rather than
+// stored, which keeps an idle router's tick stateless — a prerequisite
+// for sleep/wake scheduling to be bit-identical with the always-tick
+// engine. Walking the vaMask bits at or above the start VC on the start
+// port, then every later port, then the start port's bits below the start
+// VC visits the vcVA VCs in exactly that order; a visit only ever clears
+// its own bit, so each port's mask can be read once.
 func (r *Router) vaStage(cycle int64) {
 	nv := r.cfg.VCs
-	total := topology.NumPorts * nv
-	start := int(cycle % int64(total))
-	p := start / nv
-	v := start - p*nv
-	// pending snapshots the vcVA population; no VC enters the stage during
-	// this pass (only rcStage, which runs later, promotes into it), so the
-	// scan may stop once every pending VC has been visited.
-	pending := r.vaPending
-	for off := 0; off < total && pending > 0; off++ {
-		cp, cv := p, v
-		vc := &r.inputs[cp][cv]
-		v++
-		if v == nv {
-			v = 0
-			p++
-			if p == topology.NumPorts {
-				p = 0
-			}
+	start := int(cycle % int64(topology.NumPorts*nv))
+	sp, sv := start/nv, start%nv
+	below := lowBits(sv)
+	for m := r.vaMask[sp] &^ below; m != 0; m &= m - 1 {
+		r.allocateVC(sp, bits.TrailingZeros64(m), cycle)
+	}
+	for i := 1; i < topology.NumPorts; i++ {
+		p := (sp + i) % topology.NumPorts
+		for m := r.vaMask[p]; m != 0; m &= m - 1 {
+			r.allocateVC(p, bits.TrailingZeros64(m), cycle)
 		}
-		if vc.stage != vcVA {
+	}
+	for m := r.vaMask[sp] & below; m != 0; m &= m - 1 {
+		r.allocateVC(sp, bits.TrailingZeros64(m), cycle)
+	}
+}
+
+// allocateVC runs one VA visit of input VC (p, v), which is in vcVA: each
+// unallocated branch takes the lowest free downstream VC its policy
+// allows, and the VC activates once every branch holds one.
+func (r *Router) allocateVC(p, v int, cycle int64) {
+	vc := &r.inputs[p][v]
+	if vc.wait > 0 {
+		vc.wait--
+		return
+	}
+	f := vc.head()
+	if f == nil {
+		return
+	}
+	done := true
+	for i := range vc.branches {
+		br := &vc.branches[i]
+		if br.vc >= 0 {
 			continue
 		}
-		pending--
-		if vc.wait > 0 {
-			vc.wait--
+		out := &r.outputs[br.out]
+		if !out.connected() {
+			panic(fmt.Sprintf("router %d: route to unconnected port %s for %s", r.id, br.out, f))
+		}
+		m := out.free & out.allowedVCs(f.PT, vc.vcClass)
+		if m == 0 {
+			done = false
 			continue
 		}
-		f := vc.head()
-		if f == nil {
-			continue
-		}
-		done := true
-		for i := range vc.branches {
-			br := &vc.branches[i]
-			if br.vc >= 0 {
-				continue
-			}
-			out := &r.outputs[br.out]
-			if !out.connected() {
-				panic(fmt.Sprintf("router %d: route to unconnected port %s for %s", r.id, br.out, f))
-			}
-			alloc := -1
-			for dv := 0; dv < len(out.credits); dv++ {
-				if !r.vcAllowed(f.PT, dv, len(out.credits), vc.vcClass, br.out != topology.LocalPort) {
-					continue
-				}
-				if out.vcFree(dv) {
-					alloc = dv
-					break
-				}
-			}
-			if alloc < 0 {
-				done = false
-				continue
-			}
-			out.ownerPort[alloc] = cp
-			out.ownerVC[alloc] = cv
-			br.vc = alloc
-			r.Counters.VAAllocations.Inc()
-		}
-		if done {
-			vc.stage = vcActive
-			r.vaPending--
-			r.active++
-			if r.probe != nil && f.IsHead() && r.probe.Sampled(f.PacketID) {
-				r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvVA,
-					Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id)})
-			}
+		alloc := bits.TrailingZeros64(m)
+		out.free &^= 1 << uint(alloc)
+		out.ownerPort[alloc] = p
+		out.ownerVC[alloc] = v
+		br.vc = alloc
+		r.Counters.VAAllocations.Inc()
+	}
+	if done {
+		vc.stage = vcActive
+		r.vaMask[p] &^= 1 << uint(v)
+		r.actMask[p] |= 1 << uint(v)
+		if r.probe != nil && f.IsHead() && r.probe.Sampled(f.PacketID) {
+			r.probe.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.EvVA,
+				Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id)})
 		}
 	}
 }
@@ -687,30 +737,37 @@ func (r *Router) vcAllowed(pt flit.PacketType, vc, nVCs, class int, datelined bo
 // granted flits are copied onto their branch links and retired once every
 // branch has been served.
 func (r *Router) switchStage(cycle int64) {
-	// Input arbitration: one candidate VC per input port. The round-robin
-	// scans are inlined (no closure indirection — this is the hottest loop
-	// in the simulator) but advance the arbiters exactly as rrArbiter.pick
-	// would, so grant rotations replay identically.
+	// Input arbitration: one candidate VC per input port, the first
+	// active VC at or after the arbiter's rotation (wrapping) with an
+	// unserved credited branch. The candidate posts a request bit, per
+	// input port, on every output it has such a branch to; branch records
+	// which branch that is. Both arbitration rounds rotate exactly as the
+	// per-VC and per-port scans they replace did, so grant rotations
+	// replay identically.
+	var req [topology.NumPorts]uint8
+	var branch [topology.NumPorts][topology.NumPorts]int8 // [out][inPort]
 	var candidate [topology.NumPorts]int
+	requested := false
 	for p := 0; p < topology.NumPorts; p++ {
-		candidate[p] = -1
-		arb := r.saInputArb[p]
-		in := r.inputs[p]
-		idx := arb.next
-		for off := 0; off < arb.n; off++ {
-			if idx >= arb.n {
-				idx -= arb.n
-			}
-			if r.vcReady(&in[idx]) {
-				arb.next = idx + 1
-				if arb.next == arb.n {
-					arb.next = 0
-				}
-				candidate[p] = idx
-				break
-			}
-			idx++
+		act := r.actMask[p]
+		if act == 0 {
+			continue
 		}
+		arb := r.saInputArb[p]
+		below := lowBits(arb.next)
+		v := r.postRequests(p, act&^below, &req, &branch)
+		if v < 0 {
+			v = r.postRequests(p, act&below, &req, &branch)
+		}
+		if v < 0 {
+			continue
+		}
+		arb.advance(v)
+		candidate[p] = v
+		requested = true
+	}
+	if !requested {
+		return
 	}
 
 	// Output arbitration: for each output port, grant one requesting input.
@@ -722,30 +779,13 @@ func (r *Router) switchStage(cycle int64) {
 	var grants [topology.NumPorts]grant
 	nGrants := 0
 	for out := 0; out < topology.NumPorts; out++ {
-		o := &r.outputs[out]
-		if !o.connected() {
+		in := r.saOutputArb[out].grant(uint64(req[out]))
+		if in < 0 {
 			continue
 		}
-		arb := r.saOutputArb[out]
-		idx := arb.next
-		for off := 0; off < arb.n; off++ {
-			if idx >= arb.n {
-				idx -= arb.n
-			}
-			if v := candidate[idx]; v >= 0 {
-				if bi := r.branchRequesting(&r.inputs[idx][v], topology.Port(out)); bi >= 0 {
-					arb.next = idx + 1
-					if arb.next == arb.n {
-						arb.next = 0
-					}
-					grants[nGrants] = grant{inPort: idx, inVC: v, branch: bi}
-					nGrants++
-					r.Counters.SAGrants.Inc()
-					break
-				}
-			}
-			idx++
-		}
+		grants[nGrants] = grant{inPort: in, inVC: candidate[in], branch: int(branch[out][in])}
+		nGrants++
+		r.Counters.SAGrants.Inc()
 	}
 
 	// Switch traversal: copy flits onto links, then retire fully-served
@@ -775,11 +815,12 @@ func (r *Router) switchStage(cycle int64) {
 				Packet: f.PacketID, Tag: f.Tag, Loc: int32(r.id), Aux: int64(br.out)})
 		}
 
-		if f.IsTail() || f.Type == flit.HeadTail {
+		if f.IsTail() {
 			// Free the downstream VC at this branch once its copy of the
 			// tail has departed.
 			out.ownerPort[br.vc] = -1
 			out.ownerVC[br.vc] = -1
+			out.free |= 1 << uint(br.vc)
 		}
 		touched[g.inPort] = g.inVC
 	}
@@ -823,7 +864,12 @@ func (r *Router) switchStage(cycle int64) {
 			}
 			vc.branches = vc.branches[:0]
 			vc.stage = vcIdle
-			r.active--
+			r.actMask[p] &^= 1 << uint(v)
+			if h := vc.head(); h != nil && h.IsHead() {
+				// The next packet's head is already queued behind the
+				// tail: it starts RC in this tick's rcStage.
+				r.rcMask[p] |= 1 << uint(v)
+			}
 		}
 		if forked {
 			// Forked packets sent pool copies on every branch; the
@@ -834,32 +880,30 @@ func (r *Router) switchStage(cycle int64) {
 	}
 }
 
-// vcReady reports whether the input VC has a flit that can move this
-// cycle: it is active and at least one unserved branch has downstream
-// credit.
-func (r *Router) vcReady(vc *inputVC) bool {
-	if vc.stage != vcActive || vc.buf.Empty() {
-		return false
-	}
-	for i := range vc.branches {
-		br := &vc.branches[i]
-		if !br.sent && r.outputs[br.out].credits[br.vc] > 0 {
-			return true
+// postRequests visits the active VCs in m of input port p by ascending
+// index and stops at the first with a flit that can move this cycle (an
+// unserved branch with downstream credit). It returns that VC, having set
+// input p's bit in req[out] and branch[out][p] for the first such branch
+// to each output out, or -1 when no VC in m can move.
+func (r *Router) postRequests(p int, m uint64, req *[topology.NumPorts]uint8, branch *[topology.NumPorts][topology.NumPorts]int8) int {
+	for ; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros64(m)
+		vc := &r.inputs[p][v]
+		if vc.buf.Empty() {
+			continue
 		}
-	}
-	return false
-}
-
-// branchRequesting returns the index of the unserved credited branch of vc
-// aimed at out, or -1.
-func (r *Router) branchRequesting(vc *inputVC, out topology.Port) int {
-	if vc.stage != vcActive || vc.buf.Empty() {
-		return -1
-	}
-	for i := range vc.branches {
-		br := &vc.branches[i]
-		if br.out == out && !br.sent && r.outputs[br.out].credits[br.vc] > 0 {
-			return i
+		posted := false
+		for i := range vc.branches {
+			br := &vc.branches[i]
+			if br.sent || r.outputs[br.out].credits[br.vc] <= 0 || req[br.out]&(1<<uint(p)) != 0 {
+				continue
+			}
+			req[br.out] |= 1 << uint(p)
+			branch[br.out][p] = int8(i)
+			posted = true
+		}
+		if posted {
+			return v
 		}
 	}
 	return -1

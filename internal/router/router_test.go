@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"testing"
 
 	"gathernoc/internal/flit"
@@ -17,6 +18,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default", func(c *Config) {}, true},
 		{"zero vcs", func(c *Config) { c.VCs = 0 }, false},
+		{"vcs at bitmap width", func(c *Config) { c.VCs = MaxVCs }, true},
+		{"vcs beyond bitmap width", func(c *Config) { c.VCs = MaxVCs + 1 }, false},
 		{"zero depth", func(c *Config) { c.BufferDepth = 0 }, false},
 		{"zero rc", func(c *Config) { c.RCDelay = 0 }, false},
 		{"zero va", func(c *Config) { c.VADelay = 0 }, false},
@@ -77,8 +80,8 @@ func TestVCClassPartition(t *testing.T) {
 
 func TestRRArbiterFairness(t *testing.T) {
 	a := newRRArbiter(3)
-	always := func(i int) bool { return true }
-	got := []int{a.pick(always), a.pick(always), a.pick(always), a.pick(always)}
+	const all = 0b111
+	got := []int{a.grant(all), a.grant(all), a.grant(all), a.grant(all)}
 	want := []int{0, 1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -89,15 +92,23 @@ func TestRRArbiterFairness(t *testing.T) {
 
 func TestRRArbiterSkipsNonRequesters(t *testing.T) {
 	a := newRRArbiter(4)
-	only2 := func(i int) bool { return i == 2 }
-	if got := a.pick(only2); got != 2 {
-		t.Fatalf("pick = %d, want 2", got)
+	const only2 = 1 << 2
+	if got := a.grant(only2); got != 2 {
+		t.Fatalf("grant = %d, want 2", got)
 	}
-	if got := a.pick(func(i int) bool { return false }); got != -1 {
-		t.Fatalf("pick = %d, want -1", got)
+	// The rotation now points past 2: requester 1 wins over 3 only
+	// after wrapping.
+	if got := a.grant(1<<1 | 1<<3); got != 3 {
+		t.Fatalf("grant = %d, want 3", got)
 	}
-	if got := newRRArbiter(0).pick(only2); got != -1 {
-		t.Fatalf("empty arbiter pick = %d, want -1", got)
+	if got := a.grant(1<<1 | 1<<3); got != 1 {
+		t.Fatalf("grant = %d, want 1 (wrapped)", got)
+	}
+	if got := a.grant(0); got != -1 {
+		t.Fatalf("grant = %d, want -1", got)
+	}
+	if got := newRRArbiter(0).grant(0); got != -1 {
+		t.Fatalf("empty arbiter grant = %d, want -1", got)
 	}
 }
 
@@ -370,6 +381,14 @@ func TestRouterCountersAdvance(t *testing.T) {
 	}
 	if c.Crossings.Value() != 2 {
 		t.Errorf("Crossings = %d, want 2", c.Crossings.Value())
+	}
+}
+
+func TestConfigValidateNamesTooManyVCs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VCs = MaxVCs + 1
+	if err := cfg.Validate(); !errors.Is(err, ErrTooManyVCs) {
+		t.Fatalf("Validate() = %v, want ErrTooManyVCs", err)
 	}
 }
 

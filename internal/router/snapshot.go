@@ -45,8 +45,8 @@ type OutputSnapshot struct {
 
 // State is the complete mutable state of one router. Wiring (links,
 // routing function, stations' capacities) is rebuilt by construction;
-// the occupancy counters (buffered/loads/vaPending/active) are derived
-// and recomputed on restore.
+// the scheduling bitmaps and the buffered/loads counters are derived and
+// rebuilt on restore.
 type State struct {
 	Inputs        [][]VCSnapshot
 	Outputs       []OutputSnapshot
@@ -121,30 +121,28 @@ func (r *Router) CaptureState() State {
 // RestoreState replaces the router's mutable state with the captured
 // one. Buffered flits materialize through pool; station entries are
 // re-acked through the owning NIC's handlers; the VC-held entry pointers
-// are re-linked by queue index. The derived occupancy counters are
-// recomputed from the restored state.
+// are re-linked by queue index. The derived scheduling bitmaps and
+// occupancy counters are rebuilt from the restored state. Out-of-range
+// stages, waits, branch ports and VCs, ownership entries and arbiter
+// rotations are rejected with an error.
 func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck, reduceAck reduce.AckFunc) error {
 	if len(s.Inputs) != topology.NumPorts || len(s.Outputs) != topology.NumPorts ||
 		len(s.SAInputNext) != topology.NumPorts || len(s.SAOutputNext) != topology.NumPorts {
 		return fmt.Errorf("router %d: snapshot shape mismatch", r.id)
 	}
+	if err := r.checkState(s); err != nil {
+		return err
+	}
 	r.station.RestoreEntries(s.GatherStation, gatherAck)
 	r.rstation.RestoreEntries(s.ReduceStation, reduceAck)
 	r.Counters = s.Counters
-	r.buffered, r.loads, r.vaPending, r.active = 0, 0, 0, 0
+	r.buffered, r.loads = 0, 0
 	for p := 0; p < topology.NumPorts; p++ {
-		if len(s.Inputs[p]) != len(r.inputs[p]) {
-			return fmt.Errorf("router %d: snapshot has %d VCs on port %d, router has %d",
-				r.id, len(s.Inputs[p]), p, len(r.inputs[p]))
-		}
 		r.saInputArb[p].next = s.SAInputNext[p]
 		r.saOutputArb[p].next = s.SAOutputNext[p]
 		for v := range r.inputs[p] {
 			vc := &r.inputs[p][v]
 			vs := s.Inputs[p][v]
-			if len(vs.Flits) > r.cfg.BufferDepth {
-				return fmt.Errorf("router %d: snapshot overfills input %d vc%d", r.id, p, v)
-			}
 			vc.buf.Reset()
 			for _, fs := range vs.Flits {
 				vc.buf.PushBack(fs.Materialize(pool, numNodes))
@@ -184,11 +182,52 @@ func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck,
 				vc.reduceLoad = true
 				r.loads++
 			}
-			switch vc.stage {
-			case vcVA:
-				r.vaPending++
-			case vcActive:
-				r.active++
+		}
+		r.rcMask[p], r.vaMask[p], r.actMask[p] = r.scanMasks(p)
+		o := &r.outputs[p]
+		if !o.connected() {
+			continue
+		}
+		os := s.Outputs[p]
+		copy(o.credits, os.Credits)
+		copy(o.ownerPort, os.OwnerPort)
+		copy(o.ownerVC, os.OwnerVC)
+		o.free = o.scanFree()
+	}
+	return nil
+}
+
+// checkState rejects a snapshot whose shape or ranges do not fit this
+// router, before RestoreState mutates anything.
+func (r *Router) checkState(s State) error {
+	for p := 0; p < topology.NumPorts; p++ {
+		if len(s.Inputs[p]) != len(r.inputs[p]) {
+			return fmt.Errorf("router %d: snapshot has %d VCs on port %d, router has %d",
+				r.id, len(s.Inputs[p]), p, len(r.inputs[p]))
+		}
+		if n := s.SAInputNext[p]; n < 0 || n >= r.saInputArb[p].n {
+			return fmt.Errorf("router %d: snapshot input arbiter %d rotation %d out of range", r.id, p, n)
+		}
+		if n := s.SAOutputNext[p]; n < 0 || n >= r.saOutputArb[p].n {
+			return fmt.Errorf("router %d: snapshot output arbiter %d rotation %d out of range", r.id, p, n)
+		}
+		for v := range s.Inputs[p] {
+			vs := &s.Inputs[p][v]
+			if len(vs.Flits) > r.cfg.BufferDepth {
+				return fmt.Errorf("router %d: snapshot overfills input %d vc%d", r.id, p, v)
+			}
+			if vcStage(vs.Stage) > vcActive || vs.Wait < 0 {
+				return fmt.Errorf("router %d: snapshot input %d vc%d has stage %d wait %d out of range",
+					r.id, p, v, vs.Stage, vs.Wait)
+			}
+			for _, bs := range vs.Branches {
+				if bs.Out < 0 || bs.Out >= topology.NumPorts || !r.outputs[bs.Out].connected() {
+					return fmt.Errorf("router %d: snapshot input %d vc%d branch to unconnected port %d", r.id, p, v, bs.Out)
+				}
+				if bs.VC < -1 || bs.VC >= len(r.outputs[bs.Out].credits) {
+					return fmt.Errorf("router %d: snapshot input %d vc%d branch VC %d out of range on %s",
+						r.id, p, v, bs.VC, bs.Out)
+				}
 			}
 		}
 		o := &r.outputs[p]
@@ -199,9 +238,12 @@ func (r *Router) RestoreState(s State, pool *flit.Pool, numNodes int, gatherAck,
 		if len(os.Credits) != len(o.credits) || len(os.OwnerPort) != len(o.ownerPort) || len(os.OwnerVC) != len(o.ownerVC) {
 			return fmt.Errorf("router %d: snapshot output %d shape mismatch", r.id, p)
 		}
-		copy(o.credits, os.Credits)
-		copy(o.ownerPort, os.OwnerPort)
-		copy(o.ownerVC, os.OwnerVC)
+		for v, op := range os.OwnerPort {
+			ov := os.OwnerVC[v]
+			if op < -1 || op >= topology.NumPorts || (op < 0) != (ov < 0) || ov >= len(r.inputs[0]) {
+				return fmt.Errorf("router %d: snapshot output %d vc%d owner (%d,%d) out of range", r.id, p, v, op, ov)
+			}
+		}
 	}
 	return nil
 }
