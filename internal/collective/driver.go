@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/nic"
@@ -64,10 +65,13 @@ type Driver struct {
 	round      int
 	roundStart int64
 
-	// Leaf stage (reduce ops): per-node operand release.
+	// Leaf stage (reduce ops): per-node operand release. nextDue is the
+	// earliest doneAt among unsubmitted nodes (MaxInt64 when none is
+	// left), so the release scan runs only on cycles that release.
 	doneAt    []int64
 	submitted []bool
 	pending   int
+	nextDue   int64
 
 	// Level 1 (tree/fused): per-row accounts and row-sum relays.
 	rowAccs []acct
@@ -281,6 +285,7 @@ func (d *Driver) startRound(now int64) {
 		d.submitted[i] = false
 	}
 	d.pending = d.nodes
+	d.nextDue = now + int64(d.cfg.ComputeLatency)
 	d.l2Left = 0
 	if d.treeLevels() {
 		d.l2Left = d.rows
@@ -325,12 +330,17 @@ func (d *Driver) Tick(cycle int64) {
 // its row's level-1 collection (tree/fused), or straight to the root
 // (flat).
 func (d *Driver) releaseLeaves(cycle int64) {
-	if d.pending == 0 {
+	if d.pending == 0 || cycle < d.nextDue {
 		return
 	}
+	d.nextDue = math.MaxInt64
 	topo := d.nw.Topology()
 	for id := 0; id < d.nodes; id++ {
-		if d.submitted[id] || d.doneAt[id] > cycle {
+		if d.submitted[id] {
+			continue
+		}
+		if d.doneAt[id] > cycle {
+			d.nextDue = min(d.nextDue, d.doneAt[id])
 			continue
 		}
 		d.submitted[id] = true

@@ -160,9 +160,21 @@ func (e *Ejector) CaptureState() (EjectorState, error) {
 
 // RestoreState replaces a freshly constructed ejector's state with the
 // captured one; buffered flits materialize through the attached pool.
+// The snapshot is validated before anything is mutated.
 func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
 	if len(s.Bufs) != e.vcs {
 		return fmt.Errorf("ejector %s: snapshot has %d VCs, ejector has %d", e.name, len(s.Bufs), e.vcs)
+	}
+	if s.DrainRR < 0 || s.DrainRR >= e.vcs {
+		return fmt.Errorf("ejector %s: drain rotation %d outside [0,%d)", e.name, s.DrainRR, e.vcs)
+	}
+	for v, buf := range s.Bufs {
+		if len(buf) > e.depth {
+			return fmt.Errorf("ejector %s: snapshot overfills vc%d", e.name, v)
+		}
+	}
+	if len(s.Seen) > 0 && e.seen == nil {
+		return fmt.Errorf("ejector %s: snapshot carries dedup state but fault awareness is off", e.name)
 	}
 	e.drainRR = s.DrainRR
 	e.pausedUntil = s.PausedUntil
@@ -172,9 +184,6 @@ func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
 	e.PacketsDiscarded = s.PacketsDiscarded
 	e.DuplicatesSuppressed = s.DuplicatesSuppressed
 	for v := range e.bufs {
-		if len(s.Bufs[v]) > e.depth {
-			return fmt.Errorf("ejector %s: snapshot overfills vc%d", e.name, v)
-		}
 		e.bufs[v].Reset()
 		for _, fs := range s.Bufs[v] {
 			e.bufs[v].PushBack(fs.Materialize(e.pool, numNodes))
@@ -196,9 +205,6 @@ func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
 		pp.corrupted = ps.Corrupted
 		pp.payloads = append(pp.payloads[:0], ps.Payloads...)
 		e.partial = append(e.partial, pp)
-	}
-	if len(s.Seen) > 0 && e.seen == nil {
-		return fmt.Errorf("ejector %s: snapshot carries dedup state but fault awareness is off", e.name)
 	}
 	if e.seen != nil {
 		clear(e.seen)
@@ -289,10 +295,23 @@ func (n *NIC) CaptureState() (State, error) {
 
 // RestoreState replaces a freshly constructed NIC's state with the
 // captured one. Streaming flits materialize through the attached pool;
-// the streaming count is recomputed.
+// the streaming count is recomputed. The snapshot (ejector included) is
+// validated before anything is mutated.
 func (n *NIC) RestoreState(s State, numNodes int) error {
-	if len(s.Credits) != len(n.credits) {
-		return fmt.Errorf("nic %d: snapshot has %d VCs, nic has %d", n.id, len(s.Credits), len(n.credits))
+	vcs := n.cfg.VCs
+	if len(s.Credits) != vcs {
+		return fmt.Errorf("nic %d: snapshot has %d VCs, nic has %d", n.id, len(s.Credits), vcs)
+	}
+	for v, c := range s.Credits {
+		if c < 0 || c > n.cfg.RouterBufferDepth {
+			return fmt.Errorf("nic %d: vc%d credit %d outside [0,%d]", n.id, v, c, n.cfg.RouterBufferDepth)
+		}
+	}
+	if s.SendRR < 0 || s.SendRR >= vcs {
+		return fmt.Errorf("nic %d: send rotation %d outside [0,%d)", n.id, s.SendRR, vcs)
+	}
+	if len(s.Streams) > vcs {
+		return fmt.Errorf("nic %d: snapshot streams %d VCs, nic has %d", n.id, len(s.Streams), vcs)
 	}
 	if len(s.Reliable) > 0 && n.reliable == nil {
 		return fmt.Errorf("nic %d: snapshot carries reliability state but reliability is off", n.id)

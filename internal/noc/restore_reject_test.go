@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
 	"gathernoc/internal/router"
 	"gathernoc/internal/topology"
@@ -60,8 +61,8 @@ func (fx rejectFixture) restore(t *testing.T, corrupt func(*Snapshot)) error {
 
 // TestRestoreRejectsOutOfRangeState corrupts one field of an encoded
 // mid-run snapshot per case and checks Restore refuses it with an error
-// naming the problem, rather than restoring a router or link that would
-// panic or misbehave on its next cycle.
+// naming the problem, rather than restoring a router, link, NIC or
+// ejector that would panic or misbehave on its next cycle.
 func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	fx := newRejectFixture(t)
 	if err := fx.restore(t, func(*Snapshot) {}); err != nil {
@@ -129,6 +130,15 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 			s.Links[0].Flits = append(s.Links[0].Flits, link.InflightFlit{Flit: f, VC: -1, Due: s.Cycle + 1})
 		}, "flit on vc-1"},
 		{"link owed credits", func(s *Snapshot) { s.Links[0].OwedCredits = make([]int, vcs+1) }, "owes credits"},
+		{"nic send rotation", func(s *Snapshot) { s.NICs[2].SendRR = -1 }, "send rotation -1"},
+		{"nic send rotation beyond vcs", func(s *Snapshot) { s.NICs[2].SendRR = vcs }, "send rotation"},
+		{"nic drain rotation", func(s *Snapshot) { s.NICs[4].Ejector.DrainRR = -1 }, "drain rotation -1"},
+		{"sink drain rotation", func(s *Snapshot) { s.Sinks[0].DrainRR = vcs }, "drain rotation"},
+		{"nic streams", func(s *Snapshot) {
+			s.NICs[1].Streams = append(s.NICs[1].Streams, make([][]flit.State, vcs+1-len(s.NICs[1].Streams))...)
+		}, "streams"},
+		{"nic credit above depth", func(s *Snapshot) { s.NICs[3].Credits[1] = fx.cfg.Router.BufferDepth + 1 }, "credit"},
+		{"nic negative credit", func(s *Snapshot) { s.NICs[3].Credits[0] = -1 }, "credit -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

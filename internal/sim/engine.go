@@ -23,17 +23,22 @@
 // Sleeping preserves bit-exact determinism under one contract: a component
 // reporting Idle must make its next evaluation a pure no-op (no state
 // change, no counters, no external effects), and every transition out of
-// idleness must be accompanied by a Handle.Wake call. The engine still
-// walks the registration-order component list each cycle, so awake
-// components are always evaluated in exactly the order the naive engine
-// would use; SetAlwaysTick(true) disables the skipping entirely, which the
-// golden equivalence tests use to prove both paths produce identical
-// results.
+// idleness must be accompanied by a Handle.Wake call. Sleep state is one
+// awake bitmap per component list (tickers, committers), bit i standing
+// for the i-th registered component, and a tracked step visits only the
+// set bits, in ascending order — so a cycle costs in proportion to the
+// awake components, not the fabric, while awake components are still
+// evaluated in exactly the order the naive engine would use. A component
+// woken by an earlier one in the same phase runs in that phase; one woken
+// by a later one runs next cycle, as in a registration-order walk.
+// SetAlwaysTick(true) disables the skipping entirely, which the golden
+// equivalence tests use to prove both paths produce identical results.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -67,12 +72,43 @@ type Clock interface {
 	Cycle() int64
 }
 
-// node is one registered component with its activity state.
+// node is one registered component. Its sleep state is its bit in the
+// owning list's awakeSet.
 type node struct {
 	ticker    Ticker
 	committer Committer
 	idler     Idler
-	awake     bool
+}
+
+// awakeSet is the sleep state of one component list: bit i%64 of word
+// i/64 is set while the i-th registered component is awake. Words are
+// allocated one at a time and never move, so a Handle keeps a pointer to
+// its word across later registrations.
+type awakeSet struct {
+	words []*uint64
+	n     int // registered components
+}
+
+// add registers one more component, awake, and returns its handle.
+func (s *awakeSet) add() *Handle {
+	i := s.n
+	s.n++
+	if i%64 == 0 {
+		s.words = append(s.words, new(uint64))
+	}
+	h := &Handle{word: s.words[i/64], mask: 1 << (i % 64)}
+	*h.word |= h.mask
+	return h
+}
+
+// wakeAll sets every registered component's bit and no bit past the end.
+func (s *awakeSet) wakeAll() {
+	for _, w := range s.words {
+		*w = ^uint64(0)
+	}
+	if r := s.n % 64; r != 0 {
+		*s.words[len(s.words)-1] = 1<<r - 1
+	}
 }
 
 // Handle wakes one registered component. Handles are safe to share with
@@ -80,18 +116,20 @@ type node struct {
 // wake the NIC they enqueue into) and a nil *Handle ignores Wake calls, so
 // components can be used without an engine in unit tests.
 type Handle struct {
-	n *node
+	word *uint64 // the component's awake-bitmap word
+	mask uint64  // the component's bit in word
 }
 
-// Wake marks the component runnable again. Calling Wake on an already
-// awake component (or on a nil handle) is a cheap no-op, so callers wake
-// unconditionally on every potentially state-changing event. Duplicate
-// wakes are coalesced with a read-before-write: at high load nearly every
-// per-flit Wake hits an already awake component, and skipping the store
-// keeps the node's cache line clean.
+// Wake marks the component runnable again by setting its awake bit.
+// Calling Wake on an already awake component (or on a nil handle) is a
+// cheap no-op, so callers wake unconditionally on every potentially
+// state-changing event. Duplicate wakes are coalesced with a
+// read-before-write: at high load nearly every per-flit Wake hits an
+// already set bit, and skipping the store keeps the word's cache line
+// clean.
 func (h *Handle) Wake() {
-	if h != nil && h.n != nil && !h.n.awake {
-		h.n.awake = true
+	if h != nil && h.word != nil && *h.word&h.mask == 0 {
+		*h.word |= h.mask
 	}
 }
 
@@ -124,9 +162,13 @@ const (
 // turns it on for fully wired fabrics).
 type Engine struct {
 	cycle      int64
-	tickers    []*node
-	committers []*node
+	tickers    []node
+	committers []node
 	alwaysTick bool
+
+	// Sleep state: one awake bitmap per list, indexed like the list.
+	tickAwake   awakeSet
+	commitAwake awakeSet
 
 	// Adaptive mode: when the still-awake fraction crosses the load
 	// threshold, fall back to naive ticking for a burst of cycles, then
@@ -177,12 +219,13 @@ func (e *Engine) Cycle() int64 {
 func (e *Engine) RestoreCycle(c int64) {
 	e.cycle = c
 	e.burst = 0
-	for _, n := range e.tickers {
-		n.awake = true
-	}
-	for _, n := range e.committers {
-		n.awake = true
-	}
+	e.wakeAll()
+}
+
+// wakeAll marks every registered component awake.
+func (e *Engine) wakeAll() {
+	e.tickAwake.wakeAll()
+	e.commitAwake.wakeAll()
 }
 
 // SetAlwaysTick disables (true) or re-enables (false) sleep/wake
@@ -196,12 +239,7 @@ func (e *Engine) SetAlwaysTick(v bool) {
 		// skipped if tracking is re-enabled later mid-run: waking
 		// everything keeps both toggle orders correct (an idle
 		// evaluation is a no-op, so spurious wakes are harmless).
-		for _, n := range e.tickers {
-			n.awake = true
-		}
-		for _, n := range e.committers {
-			n.awake = true
-		}
+		e.wakeAll()
 	}
 }
 
@@ -236,31 +274,22 @@ func (e *Engine) Evaluated() uint64 { return e.evaluated }
 // component was asleep.
 func (e *Engine) Skipped() uint64 { return e.skipped }
 
-func newNode(t Ticker, c Committer) *node {
-	n := &node{ticker: t, committer: c, awake: true}
-	if t != nil {
-		n.idler, _ = t.(Idler)
-	} else {
-		n.idler, _ = c.(Idler)
-	}
-	return n
-}
-
-// AddTicker registers a phase-1 component. Order of registration is the
-// order of evaluation. The returned handle wakes the component; callers
-// that never sleep (components not implementing Idler) may ignore it.
+// AddTicker registers a phase-1 component, awake. Order of registration
+// is the order of evaluation. Register between steps, never from inside
+// an evaluation. The returned handle wakes the component; callers that
+// never sleep (components not implementing Idler) may ignore it.
 func (e *Engine) AddTicker(t Ticker) *Handle {
-	n := newNode(t, nil)
-	e.tickers = append(e.tickers, n)
-	return &Handle{n: n}
+	idler, _ := t.(Idler)
+	e.tickers = append(e.tickers, node{ticker: t, idler: idler})
+	return e.tickAwake.add()
 }
 
-// AddCommitter registers a phase-2 component. Order of registration is the
-// order of evaluation.
+// AddCommitter registers a phase-2 component, under the same rules as
+// AddTicker.
 func (e *Engine) AddCommitter(c Committer) *Handle {
-	n := newNode(nil, c)
-	e.committers = append(e.committers, n)
-	return &Handle{n: n}
+	idler, _ := c.(Idler)
+	e.committers = append(e.committers, node{committer: c, idler: idler})
+	return e.commitAwake.add()
 }
 
 // Step advances the simulation by exactly one cycle.
@@ -284,12 +313,7 @@ func (e *Engine) Step() {
 		e.stepNaive(cycle)
 		e.burst--
 		if e.burst == 0 {
-			for _, n := range e.tickers {
-				n.awake = true
-			}
-			for _, n := range e.committers {
-				n.awake = true
-			}
+			e.wakeAll()
 		}
 		e.cycle++
 		return
@@ -299,47 +323,53 @@ func (e *Engine) Step() {
 	// instead would deadlock the heuristic: the post-burst re-arm step
 	// evaluates everything by construction, and would always re-trigger
 	// the next burst regardless of the actual load.
-	ran, load := 0, 0
-	for _, n := range e.tickers {
-		if !n.awake {
-			e.skipped++
-			continue
-		}
-		n.ticker.Tick(cycle)
-		ran++
-		if n.idler != nil && n.idler.Idle() {
-			n.awake = false
-		} else {
-			load++
-		}
-	}
-	for _, n := range e.committers {
-		if !n.awake {
-			e.skipped++
-			continue
-		}
-		n.committer.Commit(cycle)
-		ran++
-		if n.idler != nil && n.idler.Idle() {
-			n.awake = false
-		} else {
-			load++
-		}
-	}
-	e.evaluated += uint64(ran)
-	if e.adaptive && load*adaptiveDen >= (len(e.tickers)+len(e.committers))*adaptiveNum {
+	tRan, tLoad := runAwake(e.tickers, &e.tickAwake, cycle, false)
+	cRan, cLoad := runAwake(e.committers, &e.commitAwake, cycle, true)
+	total := len(e.tickers) + len(e.committers)
+	e.evaluated += uint64(tRan + cRan)
+	e.skipped += uint64(total - tRan - cRan)
+	if e.adaptive && (tLoad+cLoad)*adaptiveDen >= total*adaptiveNum {
 		e.burst = adaptiveBurst
 	}
 	e.cycle++
 }
 
+// runAwake evaluates the awake components of one list in ascending index
+// (registration) order, clearing the bit of each that reports Idle. It
+// returns how many ran and how many stayed awake. The current word is
+// re-read after every evaluation, masked above the current bit, so a
+// component woken by an earlier one in the same phase still runs this
+// cycle, exactly as a walk over the whole list would run it.
+func runAwake(nodes []node, set *awakeSet, cycle int64, commit bool) (ran, load int) {
+	for wi, w := range set.words {
+		block := nodes[wi*64:]
+		for word := *w; word != 0; {
+			b := bits.TrailingZeros64(word)
+			n := &block[b]
+			if commit {
+				n.committer.Commit(cycle)
+			} else {
+				n.ticker.Tick(cycle)
+			}
+			ran++
+			if n.idler != nil && n.idler.Idle() {
+				*w &^= 1 << b
+			} else {
+				load++
+			}
+			word = *w &^ (1<<(b+1) - 1)
+		}
+	}
+	return ran, load
+}
+
 // stepNaive evaluates every component in registration order, awake or not.
 func (e *Engine) stepNaive(cycle int64) {
-	for _, n := range e.tickers {
-		n.ticker.Tick(cycle)
+	for i := range e.tickers {
+		e.tickers[i].ticker.Tick(cycle)
 	}
-	for _, n := range e.committers {
-		n.committer.Commit(cycle)
+	for i := range e.committers {
+		e.committers[i].committer.Commit(cycle)
 	}
 	e.evaluated += uint64(len(e.tickers) + len(e.committers))
 }

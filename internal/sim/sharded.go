@@ -179,8 +179,8 @@ func (e *Engine) stepSharded() {
 // dispatcher first, then workload drivers and controllers), in
 // registration order, unconditionally — always-tick semantics.
 func (e *Engine) serialTick(cycle int64) {
-	for _, n := range e.tickers {
-		n.ticker.Tick(cycle)
+	for i := range e.tickers {
+		e.tickers[i].ticker.Tick(cycle)
 	}
 }
 
@@ -188,7 +188,7 @@ func (e *Engine) serialTick(cycle int64) {
 // barrier. The wired network registers all links with shards, so this is
 // normally empty; it exists so the AddCommitter API keeps working.
 func (e *Engine) serialCommit(cycle int64) {
-	for _, n := range e.committers {
-		n.committer.Commit(cycle)
+	for i := range e.committers {
+		e.committers[i].committer.Commit(cycle)
 	}
 }

@@ -3,6 +3,7 @@ package systolic
 import (
 	"testing"
 
+	"gathernoc/internal/nic"
 	"gathernoc/internal/noc"
 )
 
@@ -104,5 +105,55 @@ func TestDataflowValidate(t *testing.T) {
 func TestDataflowString(t *testing.T) {
 	if OutputStationary.String() != "OS" || WeightStationary.String() != "WS" {
 		t.Error("dataflow names wrong")
+	}
+}
+
+// TestReleaseTimingWithSkew checks that every collected payload was
+// released exactly at its PE's scheduled completion, roundStart +
+// SkewPerHop·(row+col) + computeLatency, under both dataflows: with a
+// wavefront skew the completions of one round are spread over many
+// cycles, so a release scan that skips a due cycle shows up as a late
+// ReadyCycle.
+func TestReleaseTimingWithSkew(t *testing.T) {
+	const rows, cols, skew, rounds = 4, 4, 3, 2
+	for _, df := range []Dataflow{OutputStationary, WeightStationary} {
+		for _, mode := range []Mode{GatherMode, RepetitiveUnicast} {
+			nw, err := noc.New(noc.DefaultConfig(rows, cols))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Layer: smallLayer(), Mode: mode, Dataflow: df, TMAC: 5, MaxRounds: rounds, SkewPerHop: skew}
+			ctl, err := NewController(nw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collected := 0
+			for row := 0; row < rows; row++ {
+				nw.Sink(row).OnReceive(func(p *nic.ReceivedPacket) {
+					for _, pl := range p.Payloads {
+						collected++
+						if round := int(pl.Value & 0xffffffff); round != ctl.round {
+							t.Errorf("%s/%s: payload of round %d arrived in round %d", df, mode, round, ctl.round)
+						}
+						at := nw.Mesh().Coord(pl.Src)
+						want := ctl.roundStart + int64(skew*(at.Row+at.Col)+cfg.computeLatency(rows))
+						if pl.ReadyCycle != want {
+							t.Errorf("%s/%s: PE %d released at cycle %d, scheduled %d", df, mode, pl.Src, pl.ReadyCycle, want)
+						}
+					}
+					ctl.onPacket(p)
+				})
+			}
+			res, err := ctl.Run(10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PayloadErrors != 0 {
+				t.Errorf("%s/%s: payload errors = %d", df, mode, res.PayloadErrors)
+			}
+			if want := rounds * cfg.resultsPerRound(rows, cols); collected != want {
+				t.Errorf("%s/%s: collected %d payloads, want %d", df, mode, collected, want)
+			}
+		}
 	}
 }
