@@ -116,3 +116,42 @@ func TestRunCheckpointRejectsBadInputs(t *testing.T) {
 		t.Error("foreign-version checkpoint accepted")
 	}
 }
+
+// TestRunResumeRejectsV1JSONCheckpoint: checkpoints written before the
+// binary format were JSON. Resuming one must fail with an error naming
+// its snapshot version, and a damaged binary checkpoint must fail with
+// an error too — never a panic.
+func TestRunResumeRejectsV1JSONCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "v1.json")
+	legacy := `{"Pattern":"uniform","Traffic":{"Pattern":null,"InjectionRate":0.05,"PacketFlits":2,` +
+		`"Warmup":100,"Measure":500,"Seed":7},"Generator":{"Base":0,"Draws":12},` +
+		`"Network":{"Version":"gathernoc/noc.Snapshot/v1","ConfigHash":"00","Cycle":300,"PidSeq":[1,2]}}`
+	if err := os.WriteFile(v1, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	err := run([]string{"-resume", v1}, &b)
+	if err == nil || !strings.Contains(err.Error(), `"gathernoc/noc.Snapshot/v1"`) {
+		t.Fatalf("v1 JSON checkpoint: err = %v, want one naming gathernoc/noc.Snapshot/v1", err)
+	}
+
+	ck := filepath.Join(dir, "ck.bin")
+	args := []string{"-rows", "4", "-cols", "4", "-rate", "0.05", "-warmup", "50", "-measure", "100",
+		"-checkpoint", ck, "-checkpointat", "80"}
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{len(checkpointMagic), len(checkpointMagic) + 5, len(data) / 2, len(data) - 1} {
+		if err := os.WriteFile(ck, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-resume", ck}, &b); err == nil {
+			t.Errorf("checkpoint truncated to %d of %d bytes accepted", n, len(data))
+		}
+	}
+}

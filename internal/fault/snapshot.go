@@ -7,7 +7,7 @@ import "sort"
 // inputs (salt, thresholds, outage windows) are pure functions of the
 // configuration and are rebuilt by construction, not serialized.
 type LinkSnapshot struct {
-	Doomed   []uint64 `json:",omitempty"`
+	Doomed   []uint64
 	Drops    uint64
 	Corrupts uint64
 }

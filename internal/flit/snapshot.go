@@ -1,6 +1,55 @@
 package flit
 
-import "gathernoc/internal/topology"
+import (
+	"fmt"
+
+	"gathernoc/internal/topology"
+)
+
+// Endpoints is the address space a restored flit or packet may name:
+// mesh nodes [0, Nodes) and, past them, Sinks edge sinks (a network's
+// RowSinkIDs). Nodes also sizes rebuilt multicast destination sets.
+type Endpoints struct {
+	Nodes, Sinks int
+}
+
+// has reports whether id names a mesh node or an edge sink.
+func (ep Endpoints) has(id topology.NodeID) bool {
+	return id >= 0 && int(id) < ep.Nodes+ep.Sinks
+}
+
+// CheckAddress rejects a packet's source or destination outside ep, or
+// a multicast member outside the mesh.
+func (ep Endpoints) CheckAddress(src, dst topology.NodeID, mdst []topology.NodeID) error {
+	if !ep.has(src) || !ep.has(dst) {
+		return fmt.Errorf("endpoints %d->%d outside the %d nodes and %d sinks", src, dst, ep.Nodes, ep.Sinks)
+	}
+	return ep.CheckMembers(mdst)
+}
+
+// CheckMembers rejects a multicast member outside the mesh.
+func (ep Endpoints) CheckMembers(mdst []topology.NodeID) error {
+	for _, m := range mdst {
+		if m < 0 || int(m) >= ep.Nodes {
+			return fmt.Errorf("multicast member %d outside the %d nodes", m, ep.Nodes)
+		}
+	}
+	return nil
+}
+
+// CheckPayloads rejects a payload whose producer or destination is
+// outside ep: a restored payload may be re-sent to its destination.
+func (ep Endpoints) CheckPayloads(ps ...Payload) error {
+	for _, p := range ps {
+		if !ep.has(p.Src) || !ep.has(p.Dst) {
+			return fmt.Errorf("payload %d endpoints %d->%d outside the %d nodes and %d sinks", p.Seq, p.Src, p.Dst, ep.Nodes, ep.Sinks)
+		}
+	}
+	return nil
+}
+
+// Valid reports whether pt is a defined packet type.
+func (pt PacketType) Valid() bool { return pt >= Unicast && pt <= Accumulate }
 
 // State is the serialized form of one in-flight flit: every field by
 // value, with the multicast destination set flattened to its member list
@@ -17,11 +66,11 @@ type State struct {
 	PacketFlits   int
 	Src           topology.NodeID
 	Dst           topology.NodeID
-	MDst          []topology.NodeID `json:",omitempty"`
+	MDst          []topology.NodeID
 	ASpace        int
 	ReduceID      uint64
 	SlotCap       int
-	Payloads      []Payload `json:",omitempty"`
+	Payloads      []Payload
 	Corrupted     bool
 	TrackOperands bool
 	InjectCycle   int64
@@ -58,9 +107,45 @@ func CaptureFlit(f *Flit) State {
 	return s
 }
 
+// Check rejects a state no run could have captured and a restored
+// fabric could not carry — an endpoint outside ep (the flit's or a
+// carried payload's), an unknown flit or
+// packet type, a packet shorter than one flit, or multicast members on
+// anything but a multicast flit — so restores refuse
+// it before mutating anything instead of panicking cycles later.
+func (s *State) Check(ep Endpoints) error {
+	if s.Type < Head || s.Type > HeadTail || !s.PT.Valid() {
+		return fmt.Errorf("flit of packet %d has type %d/%d", s.PacketID, s.Type, s.PT)
+	}
+	if s.PacketFlits < 1 {
+		return fmt.Errorf("flit of packet %d has packet length %d", s.PacketID, s.PacketFlits)
+	}
+	if s.PT != Multicast && len(s.MDst) > 0 {
+		return fmt.Errorf("%s flit of packet %d has %d multicast members", s.PT, s.PacketID, len(s.MDst))
+	}
+	if err := ep.CheckAddress(s.Src, s.Dst, s.MDst); err != nil {
+		return fmt.Errorf("flit of packet %d: %w", s.PacketID, err)
+	}
+	if err := ep.CheckPayloads(s.Payloads...); err != nil {
+		return fmt.Errorf("flit of packet %d: %w", s.PacketID, err)
+	}
+	return nil
+}
+
+// CheckRoutable rejects a multicast head with no members where the head
+// is still to be routed (in a router, or on its way to one): route
+// computation branches on the members. Heads bound for an ejector may
+// legitimately carry none.
+func (s *State) CheckRoutable() error {
+	if s.PT == Multicast && s.Type.IsHead() && len(s.MDst) == 0 {
+		return fmt.Errorf("multicast head of packet %d has no members to route to", s.PacketID)
+	}
+	return nil
+}
+
 // Materialize acquires a fresh flit from p and restores the captured
-// fields onto it. numNodes sizes the rebuilt multicast destination set.
-func (s State) Materialize(p *Pool, numNodes int) *Flit {
+// fields onto it. ep.Nodes sizes the rebuilt multicast destination set.
+func (s State) Materialize(p *Pool, ep Endpoints) *Flit {
 	f := p.Acquire()
 	payloads := append(f.Payloads[:0], s.Payloads...)
 	*f = Flit{
@@ -83,7 +168,7 @@ func (s State) Materialize(p *Pool, numNodes int) *Flit {
 		Hops:          s.Hops,
 	}
 	if len(s.MDst) > 0 {
-		f.MDst = topology.DestSetOf(numNodes, s.MDst...)
+		f.MDst = topology.DestSetOf(ep.Nodes, s.MDst...)
 	}
 	return f
 }

@@ -26,12 +26,12 @@ type InflightCredit struct {
 // cycle), the owed-credit ledger of the fault path, the carried counters,
 // and the fault decision state when injection is enabled.
 type State struct {
-	Flits          []InflightFlit   `json:",omitempty"`
-	Credits        []InflightCredit `json:",omitempty"`
-	OwedCredits    []int            `json:",omitempty"`
+	Flits          []InflightFlit
+	Credits        []InflightCredit
+	OwedCredits    []int
 	FlitsCarried   stats.Counter
 	CreditsCarried stats.Counter
-	Faults         *fault.LinkSnapshot `json:",omitempty"`
+	Faults         *fault.LinkSnapshot
 }
 
 // CaptureState serializes the link's mutable state.
@@ -60,14 +60,19 @@ func (l *Link) CaptureState() State {
 
 // RestoreState replaces the link's mutable state with the captured one,
 // materializing in-flight flits through pool (the restored network's
-// acquire/release accounting must balance). numNodes sizes rebuilt
-// multicast destination sets; vcs is the channel's VC count, and a
-// snapshot naming a VC outside [0, vcs) is rejected before anything is
-// restored.
-func (l *Link) RestoreState(s State, pool *flit.Pool, numNodes, vcs int) error {
-	for _, in := range s.Flits {
+// acquire/release accounting must balance). ep bounds the flits'
+// endpoints and sizes rebuilt multicast destination sets; vcs is the
+// channel's VC count. A snapshot naming a VC outside [0, vcs) or
+// carrying a flit that fails flit.State.Check is rejected before
+// anything is restored.
+func (l *Link) RestoreState(s State, pool *flit.Pool, ep flit.Endpoints, vcs int) error {
+	for i := range s.Flits {
+		in := &s.Flits[i]
 		if in.VC < 0 || in.VC >= vcs {
 			return fmt.Errorf("link %s: snapshot flit on vc%d out of range (VCs=%d)", l.name, in.VC, vcs)
+		}
+		if err := in.Flit.Check(ep); err != nil {
+			return fmt.Errorf("link %s: snapshot %w", l.name, err)
 		}
 	}
 	for _, c := range s.Credits {
@@ -82,7 +87,7 @@ func (l *Link) RestoreState(s State, pool *flit.Pool, numNodes, vcs int) error {
 	l.CreditsCarried = s.CreditsCarried
 	l.flits.Reset()
 	for _, in := range s.Flits {
-		l.flits.PushBack(inflightFlit{f: in.Flit.Materialize(pool, numNodes), vc: in.VC, due: in.Due})
+		l.flits.PushBack(inflightFlit{f: in.Flit.Materialize(pool, ep), vc: in.VC, due: in.Due})
 	}
 	l.credits.Reset()
 	for _, c := range s.Credits {

@@ -20,7 +20,7 @@ type PacketState struct {
 	Src            topology.NodeID
 	Dst            topology.NodeID
 	HasMDst        bool
-	MDst           []topology.NodeID `json:",omitempty"`
+	MDst           []topology.NodeID
 	Flits          int
 	GatherCapacity int
 	ReduceID       uint64
@@ -47,14 +47,31 @@ func capturePacket(p flit.Packet) PacketState {
 	return ps
 }
 
-func (ps PacketState) materialize(numNodes int) flit.Packet {
+// check is the queued-packet twin of flit.State.Check.
+func (ps *PacketState) check(ep flit.Endpoints) error {
+	if !ps.PT.Valid() || ps.Flits < 1 {
+		return fmt.Errorf("queued packet %d has type %d and %d flits", ps.ID, ps.PT, ps.Flits)
+	}
+	if ps.HasMDst != (ps.PT == flit.Multicast) || ps.HasMDst != (len(ps.MDst) > 0) {
+		return fmt.Errorf("queued %s packet %d has %d multicast members", ps.PT, ps.ID, len(ps.MDst))
+	}
+	if err := ep.CheckAddress(ps.Src, ps.Dst, ps.MDst); err != nil {
+		return fmt.Errorf("queued packet %d: %w", ps.ID, err)
+	}
+	if err := ep.CheckPayloads(ps.Carried); ps.HasCarried && err != nil {
+		return fmt.Errorf("queued packet %d: %w", ps.ID, err)
+	}
+	return nil
+}
+
+func (ps PacketState) materialize(ep flit.Endpoints) flit.Packet {
 	p := flit.Packet{
 		ID: ps.ID, Tag: ps.Tag, PT: ps.PT, Src: ps.Src, Dst: ps.Dst,
 		Flits: ps.Flits, GatherCapacity: ps.GatherCapacity, ReduceID: ps.ReduceID,
 		TrackOperands: ps.TrackOperands, InjectCycle: ps.InjectCycle,
 	}
 	if ps.HasMDst {
-		p.MDst = topology.DestSetOf(numNodes, ps.MDst...)
+		p.MDst = topology.DestSetOf(ep.Nodes, ps.MDst...)
 	}
 	if ps.HasCarried {
 		carried := ps.Carried
@@ -94,7 +111,7 @@ type PartialState struct {
 	Hops         int
 	HeadArrival  int64
 	Corrupted    bool
-	Payloads     []flit.Payload `json:",omitempty"`
+	Payloads     []flit.Payload
 }
 
 // EjectorState serializes an ejection point's mutable state: the per-VC
@@ -102,11 +119,11 @@ type PartialState struct {
 // exactly-once dedup set, staged delivery confirmations, and counters.
 type EjectorState struct {
 	Bufs                 [][]flit.State
-	Partials             []PartialState `json:",omitempty"`
+	Partials             []PartialState
 	DrainRR              int
 	PausedUntil          int64
-	Seen                 []uint64           `json:",omitempty"`
-	Delivered            []DeliveredPayload `json:",omitempty"`
+	Seen                 []uint64
+	Delivered            []DeliveredPayload
 	FlitsEjected         stats.Counter
 	PacketsEjected       stats.Counter
 	PacketLatency        stats.Sample
@@ -161,20 +178,9 @@ func (e *Ejector) CaptureState() (EjectorState, error) {
 // RestoreState replaces a freshly constructed ejector's state with the
 // captured one; buffered flits materialize through the attached pool.
 // The snapshot is validated before anything is mutated.
-func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
-	if len(s.Bufs) != e.vcs {
-		return fmt.Errorf("ejector %s: snapshot has %d VCs, ejector has %d", e.name, len(s.Bufs), e.vcs)
-	}
-	if s.DrainRR < 0 || s.DrainRR >= e.vcs {
-		return fmt.Errorf("ejector %s: drain rotation %d outside [0,%d)", e.name, s.DrainRR, e.vcs)
-	}
-	for v, buf := range s.Bufs {
-		if len(buf) > e.depth {
-			return fmt.Errorf("ejector %s: snapshot overfills vc%d", e.name, v)
-		}
-	}
-	if len(s.Seen) > 0 && e.seen == nil {
-		return fmt.Errorf("ejector %s: snapshot carries dedup state but fault awareness is off", e.name)
+func (e *Ejector) RestoreState(s EjectorState, ep flit.Endpoints) error {
+	if err := e.checkState(s, ep); err != nil {
+		return err
 	}
 	e.drainRR = s.DrainRR
 	e.pausedUntil = s.PausedUntil
@@ -186,7 +192,7 @@ func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
 	for v := range e.bufs {
 		e.bufs[v].Reset()
 		for _, fs := range s.Bufs[v] {
-			e.bufs[v].PushBack(fs.Materialize(e.pool, numNodes))
+			e.bufs[v].PushBack(fs.Materialize(e.pool, ep))
 		}
 	}
 	e.partial = e.partial[:0]
@@ -216,6 +222,36 @@ func (e *Ejector) RestoreState(s EjectorState, numNodes int) error {
 	return nil
 }
 
+// checkState rejects an ejector snapshot whose shape or ranges do not
+// fit this ejector.
+func (e *Ejector) checkState(s EjectorState, ep flit.Endpoints) error {
+	if len(s.Bufs) != e.vcs {
+		return fmt.Errorf("ejector %s: snapshot has %d VCs, ejector has %d", e.name, len(s.Bufs), e.vcs)
+	}
+	if s.DrainRR < 0 || s.DrainRR >= e.vcs {
+		return fmt.Errorf("ejector %s: drain rotation %d outside [0,%d)", e.name, s.DrainRR, e.vcs)
+	}
+	for v, buf := range s.Bufs {
+		if len(buf) > e.depth {
+			return fmt.Errorf("ejector %s: snapshot overfills vc%d", e.name, v)
+		}
+		for i := range buf {
+			if err := buf[i].Check(ep); err != nil {
+				return fmt.Errorf("ejector %s: snapshot vc%d: %w", e.name, v, err)
+			}
+		}
+	}
+	if len(s.Seen) > 0 && e.seen == nil {
+		return fmt.Errorf("ejector %s: snapshot carries dedup state but fault awareness is off", e.name)
+	}
+	for _, ps := range s.Partials {
+		if err := ep.CheckPayloads(ps.Payloads...); err != nil {
+			return fmt.Errorf("ejector %s: snapshot partial packet %d: %w", e.name, ps.ID, err)
+		}
+	}
+	return nil
+}
+
 // State is the complete mutable state of one NIC (its ejector included).
 // Wiring — router, links, pool, clock, wake handles, ack callbacks — is
 // rebuilt by construction; the streaming count is derived and recomputed.
@@ -223,14 +259,14 @@ type State struct {
 	Credits []int
 	// Streams holds the not-yet-sent remainder of the packet bound to
 	// each injection VC.
-	Streams  [][]flit.State `json:",omitempty"`
-	Queue    []PacketState  `json:",omitempty"`
-	Waiting  []WaitState    `json:",omitempty"`
-	RWaiting []WaitState    `json:",omitempty"`
+	Streams  [][]flit.State
+	Queue    []PacketState
+	Waiting  []WaitState
+	RWaiting []WaitState
 	SendRR   int
 	Tag      flit.Tag
 	Now      int64
-	Reliable []ReliableEntryState `json:",omitempty"`
+	Reliable []ReliableEntryState
 
 	PacketsInjected      stats.Counter
 	FlitsInjected        stats.Counter
@@ -297,7 +333,7 @@ func (n *NIC) CaptureState() (State, error) {
 // captured one. Streaming flits materialize through the attached pool;
 // the streaming count is recomputed. The snapshot (ejector included) is
 // validated before anything is mutated.
-func (n *NIC) RestoreState(s State, numNodes int) error {
+func (n *NIC) RestoreState(s State, ep flit.Endpoints) error {
 	vcs := n.cfg.VCs
 	if len(s.Credits) != vcs {
 		return fmt.Errorf("nic %d: snapshot has %d VCs, nic has %d", n.id, len(s.Credits), vcs)
@@ -316,7 +352,35 @@ func (n *NIC) RestoreState(s State, numNodes int) error {
 	if len(s.Reliable) > 0 && n.reliable == nil {
 		return fmt.Errorf("nic %d: snapshot carries reliability state but reliability is off", n.id)
 	}
-	if err := n.eject.RestoreState(s.Ejector, numNodes); err != nil {
+	for v, stream := range s.Streams {
+		for i := range stream {
+			err := stream[i].Check(ep)
+			if err == nil {
+				err = stream[i].CheckRoutable()
+			}
+			if err != nil {
+				return fmt.Errorf("nic %d: snapshot stream vc%d: %w", n.id, v, err)
+			}
+		}
+	}
+	for i := range s.Queue {
+		if err := s.Queue[i].check(ep); err != nil {
+			return fmt.Errorf("nic %d: snapshot %w", n.id, err)
+		}
+	}
+	for _, ws := range [][]WaitState{s.Waiting, s.RWaiting} {
+		for _, w := range ws {
+			if err := ep.CheckPayloads(w.Payload); err != nil {
+				return fmt.Errorf("nic %d: snapshot waiting %w", n.id, err)
+			}
+		}
+	}
+	for _, es := range s.Reliable {
+		if err := ep.CheckPayloads(es.Payload); err != nil {
+			return fmt.Errorf("nic %d: snapshot unconfirmed %w", n.id, err)
+		}
+	}
+	if err := n.eject.RestoreState(s.Ejector, ep); err != nil {
 		return err
 	}
 	copy(n.credits, s.Credits)
@@ -340,7 +404,7 @@ func (n *NIC) RestoreState(s State, numNodes int) error {
 		st.next = 0
 		if v < len(s.Streams) {
 			for _, fs := range s.Streams[v] {
-				st.flits = append(st.flits, fs.Materialize(n.pool, numNodes))
+				st.flits = append(st.flits, fs.Materialize(n.pool, ep))
 			}
 		}
 		if !st.empty() {
@@ -351,7 +415,7 @@ func (n *NIC) RestoreState(s State, numNodes int) error {
 		n.queue.PopFront()
 	}
 	for _, ps := range s.Queue {
-		n.queue.PushBack(ps.materialize(numNodes))
+		n.queue.PushBack(ps.materialize(ep))
 	}
 	n.waiting = n.waiting[:0]
 	for _, w := range s.Waiting {

@@ -107,7 +107,19 @@ type linkRec struct {
 	downShard, upShard int
 	downID, upID       topology.NodeID
 	outPort            topology.Port
+	kind               linkKind
 }
+
+// linkKind names the endpoints a link joins; the snapshot link check
+// (checkLinks) reads the counters at both ends by it.
+type linkKind uint8
+
+const (
+	fabricLink linkKind = iota // router output -> neighbour router input
+	injectLink                 // NIC -> its router's local input
+	ejectLink                  // router local output -> its NIC's ejector
+	sinkLink                   // edge router east output -> row sink
+)
 
 // New builds and wires a network according to cfg.
 func New(cfg Config) (*Network, error) {
@@ -143,6 +155,11 @@ func New(cfg Config) (*Network, error) {
 		engine:  sim.NewEngine(),
 		pool:    flit.NewPool(),
 	}
+	// Size the link tables once: at most four fabric links leave a node,
+	// plus its injection and ejection links and one link per row sink.
+	maxLinks := 6*topo.NumNodes() + cfg.Rows
+	nw.links = make([]*link.Link, 0, maxLinks)
+	nw.linkRecs = make([]linkRec, 0, maxLinks)
 	nw.pool.SetDebug(cfg.DebugFlitPool)
 	if shards := cfg.EffectiveShards(); shards > 0 {
 		// Sharded engine: contiguous row blocks, shard s owning rows
@@ -257,12 +274,12 @@ func New(cfg Config) (*Network, error) {
 		inj := link.New(fmt.Sprintf("inj%d", id), cfg.LinkLatency, rtr.InputSink(topology.LocalPort), n)
 		n.ConnectInjection(inj)
 		rtr.ConnectInput(topology.LocalPort, inj)
-		nw.addLink(inj, sh, sh, topology.NodeID(id), topology.NodeID(id))
+		nw.addLink(inj, injectLink, sh, sh, topology.NodeID(id), topology.NodeID(id))
 
 		ej := link.New(fmt.Sprintf("ej%d", id), cfg.LinkLatency, n.Ejector(), rtr.CreditSink(topology.LocalPort))
 		rtr.ConnectOutput(topology.LocalPort, ej, cfg.Router.VCs, cfg.Router.BufferDepth)
 		n.Ejector().ConnectReverse(ej)
-		nw.addLink(ej, sh, sh, topology.NodeID(id), topology.NodeID(id))
+		nw.addLink(ej, ejectLink, sh, sh, topology.NodeID(id), topology.NodeID(id))
 	}
 
 	// Global-buffer sinks past the east edge (mesh only: Validate rejects
@@ -283,7 +300,7 @@ func New(cfg Config) (*Network, error) {
 			s.ej.ConnectReverse(l)
 			nw.sinks[row] = s
 			sh := nw.shardOfRow(row)
-			nw.addLink(l, sh, sh, s.id, edge.ID())
+			nw.addLink(l, sinkLink, sh, sh, s.id, edge.ID())
 		}
 	}
 
@@ -295,6 +312,7 @@ func New(cfg Config) (*Network, error) {
 		// NICs. Every component gets its wake handle (and NICs the engine
 		// clock) so the activity-tracked engine can sleep idle components
 		// and re-evaluate them on flit/credit handoff or packet submission.
+		nw.engine.Reserve(len(nw.routers)+len(nw.sinks)+len(nw.nics), len(nw.links))
 		for _, r := range nw.routers {
 			r.SetWake(nw.engine.AddTicker(r))
 			r.SetFlitPool(nw.pool)
@@ -579,16 +597,16 @@ func (nw *Network) wireRouterPair(src, dst *router.Router, out topology.Port) {
 	)
 	src.ConnectOutput(out, l, nw.cfg.Router.VCs, nw.cfg.Router.BufferDepth)
 	dst.ConnectInput(in, l)
-	nw.addLink(l, nw.shardOfNode(dst.ID()), nw.shardOfNode(src.ID()), dst.ID(), src.ID())
+	nw.addLink(l, fabricLink, nw.shardOfNode(dst.ID()), nw.shardOfNode(src.ID()), dst.ID(), src.ID())
 	nw.linkRecs[len(nw.linkRecs)-1].outPort = out
 }
 
 // addLink records a wired link with the shards owning its two endpoints:
 // flit delivery mutates the downstream endpoint, credit return the
 // upstream one. Sequential networks record shard 0 throughout.
-func (nw *Network) addLink(l *link.Link, downShard, upShard int, downID, upID topology.NodeID) {
+func (nw *Network) addLink(l *link.Link, kind linkKind, downShard, upShard int, downID, upID topology.NodeID) {
 	nw.links = append(nw.links, l)
-	nw.linkRecs = append(nw.linkRecs, linkRec{l: l, downShard: downShard, upShard: upShard, downID: downID, upID: upID})
+	nw.linkRecs = append(nw.linkRecs, linkRec{l: l, kind: kind, downShard: downShard, upShard: upShard, downID: downID, upID: upID})
 }
 
 // shardOfNode returns the shard owning node id's row (0 when sequential).

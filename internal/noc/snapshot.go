@@ -1,19 +1,26 @@
 package noc
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 
 	"gathernoc/internal/flit"
 	"gathernoc/internal/link"
 	"gathernoc/internal/nic"
 	"gathernoc/internal/router"
+	"gathernoc/internal/snapcodec"
+	"gathernoc/internal/topology"
 )
 
 // SnapshotVersion tags the snapshot envelope. Any change to a component
-// State layout or to the capture/restore rules must bump it; Restore
-// rejects snapshots from other versions instead of misinterpreting them.
-const SnapshotVersion = "gathernoc/noc.Snapshot/v1"
+// State layout, to the encoding or to the capture/restore rules must bump
+// it; DecodeSnapshot and Restore reject snapshots from other versions
+// instead of misinterpreting them.
+const SnapshotVersion = "gathernoc/noc.Snapshot/v2"
+
+// snapshotMagic opens every encoded snapshot; the snapcodec encoding of
+// the Snapshot struct follows, led by its Version field.
+const snapshotMagic = "GNOCSNAP"
 
 // Snapshot is the complete serialized mutable state of a Network at a
 // cycle boundary: the engine clock, the per-NIC packet-id counters, and
@@ -35,7 +42,7 @@ type Snapshot struct {
 	Routers []router.State
 	Links   []link.State
 	NICs    []nic.State
-	Sinks   []nic.EjectorState `json:",omitempty"`
+	Sinks   []nic.EjectorState
 }
 
 // Snapshot captures the network's complete mutable state. It must be
@@ -100,6 +107,9 @@ func (nw *Network) Restore(s *Snapshot) error {
 	if nw.tele != nil {
 		return fmt.Errorf("noc: restore onto a telemetry-enabled network is unsupported")
 	}
+	if s.Cycle < 0 {
+		return fmt.Errorf("noc: snapshot at negative cycle %d", s.Cycle)
+	}
 	if len(s.Routers) != len(nw.routers) || len(s.Links) != len(nw.links) ||
 		len(s.NICs) != len(nw.nics) || len(s.Sinks) != len(nw.sinks) ||
 		len(s.PidSeq) != len(nw.pidSeq) {
@@ -107,31 +117,119 @@ func (nw *Network) Restore(s *Snapshot) error {
 			len(s.Routers), len(nw.routers), len(s.Links), len(nw.links),
 			len(s.NICs), len(nw.nics), len(s.Sinks), len(nw.sinks))
 	}
+	if err := nw.checkLinks(s); err != nil {
+		return err
+	}
 	copy(nw.pidSeq, s.PidSeq)
-	numNodes := nw.topo.NumNodes()
+	ep := flit.Endpoints{Nodes: nw.topo.NumNodes(), Sinks: len(nw.sinks)}
 	for i, r := range nw.routers {
 		n := nw.nics[i]
-		if err := r.RestoreState(s.Routers[i], nw.poolFor(nw.shardOfNode(r.ID())), numNodes,
+		if err := r.RestoreState(s.Routers[i], nw.poolFor(nw.shardOfNode(r.ID())), ep,
 			n.GatherAckFunc(), n.ReduceAckFunc()); err != nil {
 			return err
 		}
 	}
 	for i, l := range nw.links {
-		if err := l.RestoreState(s.Links[i], nw.poolFor(nw.linkRecs[i].downShard), numNodes, nw.cfg.Router.VCs); err != nil {
+		if err := l.RestoreState(s.Links[i], nw.poolFor(nw.linkRecs[i].downShard), ep, nw.cfg.Router.VCs); err != nil {
 			return err
 		}
 	}
 	for i, n := range nw.nics {
-		if err := n.RestoreState(s.NICs[i], numNodes); err != nil {
+		if err := n.RestoreState(s.NICs[i], ep); err != nil {
 			return err
 		}
 	}
 	for i, sk := range nw.sinks {
-		if err := sk.ej.RestoreState(s.Sinks[i], numNodes); err != nil {
+		if err := sk.ej.RestoreState(s.Sinks[i], ep); err != nil {
 			return err
 		}
 	}
 	nw.engine.RestoreCycle(s.Cycle)
+	return nil
+}
+
+// checkLinks verifies what Restore can only see across a link's two
+// ends. Flits on a link into a router are still to be routed
+// (flit.State.CheckRoutable). And credits are conserved per VC: the
+// upstream credit counter and the owed credits (neither negative), the
+// flits and credits in flight and the downstream buffer's occupancy add
+// up to the buffer depth, as they do at every cycle boundary of a run.
+// A snapshot breaking it would overflow a buffer or starve a VC cycles
+// after the restore, so it is refused before anything is mutated.
+func (nw *Network) checkLinks(s *Snapshot) error {
+	vcs, depth := nw.cfg.Router.VCs, nw.cfg.Router.BufferDepth
+	routerInput := func(id topology.NodeID, p topology.Port) []int {
+		if in := s.Routers[id].Inputs; len(in) == topology.NumPorts {
+			occ := make([]int, len(in[p]))
+			for v, vs := range in[p] {
+				occ[v] = len(vs.Flits)
+			}
+			return occ
+		}
+		return nil
+	}
+	routerCredits := func(id topology.NodeID, p topology.Port) []int {
+		if out := s.Routers[id].Outputs; len(out) == topology.NumPorts {
+			return out[p].Credits
+		}
+		return nil
+	}
+	ejector := func(es *nic.EjectorState) []int {
+		occ := make([]int, len(es.Bufs))
+		for v, buf := range es.Bufs {
+			occ[v] = len(buf)
+		}
+		return occ
+	}
+	for i, rec := range nw.linkRecs {
+		var up, down []int
+		switch rec.kind {
+		case fabricLink:
+			up, down = routerCredits(rec.upID, rec.outPort), routerInput(rec.downID, rec.outPort.Opposite())
+		case injectLink:
+			up, down = s.NICs[rec.upID].Credits, routerInput(rec.downID, topology.LocalPort)
+		case ejectLink:
+			up, down = routerCredits(rec.upID, topology.LocalPort), ejector(&s.NICs[rec.downID].Ejector)
+		case sinkLink:
+			up, down = routerCredits(rec.upID, topology.EastPort), ejector(&s.Sinks[int(rec.downID)-len(nw.routers)])
+		}
+		if len(up) != vcs || len(down) != vcs {
+			return fmt.Errorf("noc: snapshot link %s has %d/%d credit and buffer VCs, want %d",
+				rec.l.Name(), len(up), len(down), vcs)
+		}
+		ls := &s.Links[i]
+		flight := make([]int, vcs)
+		for j := range ls.Flits {
+			in := &ls.Flits[j]
+			if in.VC >= 0 && in.VC < vcs {
+				flight[in.VC]++
+			}
+			if rec.kind == fabricLink || rec.kind == injectLink {
+				if err := in.Flit.CheckRoutable(); err != nil {
+					return fmt.Errorf("noc: snapshot link %s: %w", rec.l.Name(), err)
+				}
+			}
+		}
+		for _, c := range ls.Credits {
+			if c.VC >= 0 && c.VC < vcs {
+				flight[c.VC]++
+			}
+		}
+		for v, n := range ls.OwedCredits {
+			if n < 0 {
+				return fmt.Errorf("noc: snapshot link %s owes %d credits on vc%d", rec.l.Name(), n, v)
+			}
+			if v < vcs {
+				flight[v] += n
+			}
+		}
+		for v := range flight {
+			if n := up[v] + down[v] + flight[v]; up[v] < 0 || n != depth {
+				return fmt.Errorf("noc: snapshot link %s vc%d: upstream credit %d, %d buffered, %d in flight or owed: %d buffer slots, want %d",
+					rec.l.Name(), v, up[v], down[v], flight[v], n, depth)
+			}
+		}
+	}
 	return nil
 }
 
@@ -170,20 +268,50 @@ func (nw *Network) Fork() (*Network, error) {
 	return clone, nil
 }
 
-// EncodeSnapshot serializes a snapshot to deterministic JSON (one
-// encoding per state, fit for content addressing and golden comparison).
+// EncodeSnapshot serializes a snapshot in the binary snapshot format
+// (DESIGN.md §14): the magic, then the snapcodec encoding of the
+// Snapshot — Version, ConfigHash and Config first, then the state. The
+// encoding is canonical (one byte string per state), fit for content
+// addressing and byte comparison.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	return json.Marshal(s)
+	e := snapcodec.NewEncoder([]byte(snapshotMagic))
+	if err := e.Encode(s); err != nil {
+		return nil, fmt.Errorf("noc: encoding snapshot: %w", err)
+	}
+	return e.Bytes(), nil
 }
 
-// DecodeSnapshot parses a snapshot produced by EncodeSnapshot.
+// DecodeSnapshot parses a snapshot produced by EncodeSnapshot. The
+// version is checked before the rest of the layout is trusted, and a
+// JSON snapshot of an earlier version is rejected by name.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	body, ok := bytes.CutPrefix(data, []byte(snapshotMagic))
+	if !ok {
+		return nil, foreignSnapshot(data)
+	}
+	d := snapcodec.NewDecoder(body)
+	if v := d.String(); v != SnapshotVersion && d.Err() == nil {
+		return nil, fmt.Errorf("noc: snapshot version %q, want %q", v, SnapshotVersion)
+	}
 	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := snapcodec.Unmarshal(body, &s); err != nil {
 		return nil, fmt.Errorf("noc: decoding snapshot: %w", err)
 	}
-	if s.Version != SnapshotVersion {
-		return nil, fmt.Errorf("noc: snapshot version %q, want %q", s.Version, SnapshotVersion)
-	}
 	return &s, nil
+}
+
+// foreignSnapshot describes input without the binary magic. Snapshots
+// before v2 were JSON objects whose Version field came first; the
+// version is read from the text so the error names it.
+func foreignSnapshot(data []byte) error {
+	const key = `"Version":"`
+	if len(data) > 0 && data[0] == '{' {
+		if i := bytes.Index(data, []byte(key)); i >= 0 {
+			rest := data[i+len(key):]
+			if j := bytes.IndexByte(rest, '"'); j >= 0 && j <= 64 {
+				return fmt.Errorf("noc: snapshot version %q (JSON), want %q", rest[:j], SnapshotVersion)
+			}
+		}
+	}
+	return fmt.Errorf("noc: not a %s snapshot (missing magic)", SnapshotVersion)
 }

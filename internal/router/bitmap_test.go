@@ -242,14 +242,14 @@ func (h *soloHarness) restore(t *testing.T) {
 	in, out := h.in, h.out
 	h.wire(t)
 	ack := func(flit.Payload) { h.acked++ }
-	if err := h.r.RestoreState(rs, nil, soloNodes, ack, nil); err != nil {
+	if err := h.r.RestoreState(rs, nil, flit.Endpoints{Nodes: soloNodes}, ack, nil); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < topology.NumPorts; p++ {
-		if err := h.in[p].RestoreState(in[p].CaptureState(), nil, soloNodes, h.cfg.VCs); err != nil {
+		if err := h.in[p].RestoreState(in[p].CaptureState(), nil, flit.Endpoints{Nodes: soloNodes}, h.cfg.VCs); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.out[p].RestoreState(out[p].CaptureState(), nil, soloNodes, h.cfg.VCs); err != nil {
+		if err := h.out[p].RestoreState(out[p].CaptureState(), nil, flit.Endpoints{Nodes: soloNodes}, h.cfg.VCs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -282,6 +283,14 @@ func (e *Engine) AddTicker(t Ticker) *Handle {
 	idler, _ := t.(Idler)
 	e.tickers = append(e.tickers, node{ticker: t, idler: idler})
 	return e.tickAwake.add()
+}
+
+// Reserve makes room for n more tickers and m more committers, so a
+// caller that knows its component count registers them without regrowing
+// the lists.
+func (e *Engine) Reserve(n, m int) {
+	e.tickers = slices.Grow(e.tickers, n)
+	e.committers = slices.Grow(e.committers, m)
 }
 
 // AddCommitter registers a phase-2 component, under the same rules as

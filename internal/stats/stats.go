@@ -11,23 +11,22 @@ import (
 	"strings"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
-}
+// Counter is a monotonically increasing event count. Its JSON and
+// snapshot encodings are those of the plain count.
+type Counter uint64
 
 // Add increments the counter by delta (negative deltas are ignored).
 func (c *Counter) Add(delta int) {
 	if delta > 0 {
-		c.n += uint64(delta)
+		*c += Counter(delta)
 	}
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
+func (c *Counter) Inc() { *c++ }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
+func (c *Counter) Value() uint64 { return uint64(*c) }
 
 // Sample accumulates scalar observations and reports summary statistics.
 // Observations are retained so percentiles are exact.

@@ -38,6 +38,7 @@ gathernoc/internal/reduce 87
 gathernoc/internal/ring 94
 gathernoc/internal/router 87
 gathernoc/internal/sim 93
+gathernoc/internal/snapcodec 95
 gathernoc/internal/stats 95
 gathernoc/internal/systolic 92
 gathernoc/internal/telemetry 89
